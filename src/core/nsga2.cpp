@@ -55,37 +55,33 @@ void Nsga2::evaluate_individual(std::vector<Individual>& individuals,
   Individual& ind = individuals[idx];
   const Evaluator* ev = problem_->incremental_evaluator();
   const bool use_delta = ev != nullptr && ev->incremental_on();
-  // Cheapest winning path: fitness-cache hit (no simulation at all, but
-  // also no EvalState) > clone of the parent (reuse its objectives and
-  // partials) > delta re-simulation of the dirty machines > full
-  // simulation.  All four produce bit-identical objectives.
-  const auto compute = [&](const Allocation& genome) -> EUPoint {
-    if (use_delta) {
-      if (hint != nullptr && !hint->full) {
-        // Operator-built child of a validated parent: structurally
-        // valid, so the evaluator may skip per-gene validation.
-        const Individual& parent = individuals[hint->parent];
-        if (parent.state.valid()) {
-          if (hint->touched.empty()) {
-            ind.state = parent.state;
-            return parent.objectives;
-          }
-          return problem_->objectives_of(ev->evaluate_incremental(
-              genome, parent.genome, parent.state, hint->touched,
-              ind.state, /*trusted_child=*/true));
-        }
-        return problem_->objectives_of(
-            ev->evaluate_trusted(genome, ind.state));
-      }
-      return problem_->objectives_of(
-          trusted_genome ? ev->evaluate_trusted(genome, ind.state)
-                         : ev->evaluate(genome, ind.state));
+  if (!use_delta) {
+    ind.objectives = problem_->evaluate(ind.genome);
+    return;
+  }
+  // Cheapest applicable path: clone of the parent (reuse its objectives
+  // and partials) > delta re-simulation of the dirty machines > full
+  // simulation.  All three produce bit-identical objectives.
+  if (hint != nullptr && !hint->full) {
+    // Operator-built child of a validated parent: structurally valid, so
+    // the evaluator may skip per-gene validation.
+    const Individual& parent = individuals[hint->parent];
+    if (!parent.state.valid()) {
+      ind.objectives = problem_->objectives_of(
+          ev->evaluate_trusted(ind.genome, ind.state));
+    } else if (hint->touched.empty()) {
+      ind.state = parent.state;
+      ind.objectives = parent.objectives;
+    } else {
+      ind.objectives = problem_->objectives_of(ev->evaluate_incremental(
+          ind.genome, parent.genome, parent.state, hint->touched, ind.state,
+          /*trusted_child=*/true));
     }
-    return problem_->evaluate(genome);
-  };
-  ind.objectives = config_.cache != nullptr
-                       ? config_.cache->evaluate_through(ind.genome, compute)
-                       : compute(ind.genome);
+    return;
+  }
+  ind.objectives = problem_->objectives_of(
+      trusted_genome ? ev->evaluate_trusted(ind.genome, ind.state)
+                     : ev->evaluate(ind.genome, ind.state));
 }
 
 void Nsga2::evaluate_all(std::vector<Individual>& individuals,
@@ -146,11 +142,12 @@ void Nsga2::initialize(const std::vector<Allocation>& seeds) {
     // machines and in-range p-states), so the initial evaluation sweep
     // can skip the per-gene pass for the whole population.
     if (ev != nullptr) ev->validate(seed);
-    population_.push_back({seed, {}, 0, 0.0});
+    population_.push_back({seed, {}, 0, 0.0, {}});
     eval_fresh();
   }
   while (population_.size() < config_.population_size) {
-    population_.push_back({random_allocation(*problem_, rng_), {}, 0, 0.0});
+    population_.push_back(
+        {random_allocation(*problem_, rng_), {}, 0, 0.0, {}});
     eval_fresh();
   }
 
@@ -379,8 +376,8 @@ void Nsga2::iterate(std::size_t generations) {
             fill_hint(hints_[2 * pair + 1], child_b, meta[j].genome, j,
                       meta[i].genome, i, mutated_b);
           }
-          meta.push_back({std::move(child_a), {}, 0, 0.0});
-          meta.push_back({std::move(child_b), {}, 0, 0.0});
+          meta.push_back({std::move(child_a), {}, 0, 0.0, {}});
+          meta.push_back({std::move(child_b), {}, 0, 0.0, {}});
         }
         if (interleave) {
           // Serial evaluation: take each child while its genome is still

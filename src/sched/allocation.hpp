@@ -6,6 +6,7 @@
 // greedy heuristics and the NSGA-II chromosome.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace eus {
@@ -35,5 +36,12 @@ struct Allocation {
   for (std::size_t i = 0; i < tasks; ++i) a.order[i] = static_cast<int>(i);
   return a;
 }
+
+/// 64-bit fingerprint of (machine, order, pstate).  Equal genomes always
+/// fingerprint equally; distinct genomes collide with ~2^-64 probability.
+/// Keys genome deduplication in ParetoArchive, the tenant ArchiveStore and
+/// delta-request repair.
+[[nodiscard]] std::uint64_t genome_fingerprint(
+    const Allocation& genome) noexcept;
 
 }  // namespace eus

@@ -99,8 +99,8 @@ class Evaluator {
   /// out-of-range machine index, an ineligible mapping, or a bad P-state
   /// throws std::invalid_argument instead of indexing out of bounds.
   /// Out-of-range *order* values are fine (orders are free-form
-  /// priorities).  Under the fitness cache each unique genome pays the
-  /// check once; cache hits skip evaluate() entirely.
+  /// priorities).  Operator-built NSGA-II offspring, valid by
+  /// construction, skip the check through evaluate_trusted().
   [[nodiscard]] Evaluation evaluate(const Allocation& allocation) const;
 
   /// Full simulation that additionally captures the per-machine partials

@@ -145,7 +145,8 @@ BenchResults sample_results() {
   ScenarioResult fig3;
   fig3.name = "fig3_dataset1";
   fig3.wall_s = {0.5, 0.4, 0.6};
-  fig3.counters = {{"nsga2.evaluations", 5500.0}, {"cache.hits", 1200.0}};
+  fig3.counters = {{"nsga2.evaluations", 5500.0},
+                   {"nsga2.generations", 1200.0}};
   fig3.timers_s = {{"nsga2.evaluation_s", 0.31}};
   results.scenarios.push_back(fig3);
   ScenarioResult quick;
@@ -183,7 +184,7 @@ TEST(BenchkitResults, MetricLookupNamespaces) {
   const ScenarioResult* fig3 = results.find("fig3_dataset1");
   ASSERT_NE(fig3, nullptr);
   EXPECT_DOUBLE_EQ(fig3->metric("wall_s").value(), 0.5);
-  EXPECT_DOUBLE_EQ(fig3->metric("counter.cache.hits").value(), 1200.0);
+  EXPECT_DOUBLE_EQ(fig3->metric("counter.nsga2.generations").value(), 1200.0);
   EXPECT_DOUBLE_EQ(fig3->metric("timer.nsga2.evaluation_s").value(), 0.31);
   EXPECT_FALSE(fig3->metric("counter.unknown").has_value());
   EXPECT_FALSE(fig3->metric("bogus").has_value());

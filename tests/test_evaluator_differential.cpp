@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/fitness_cache.hpp"
 #include "core/nsga2.hpp"
 #include "core/problem.hpp"
 #include "heuristics/seeds.hpp"
@@ -346,41 +345,33 @@ TEST(EvaluatorDifferential, TelemetryCountsHitsAndFallbacks) {
 
 TEST(EvaluatorDifferential, FrontsInvariantAcrossExecutionModes) {
   // The same seed must yield bit-identical fronts whether evaluation is
-  // interleaved (serial), pooled, delta-evaluated, or memoized: the
-  // evaluator is a pure function and none of these paths may perturb it.
+  // interleaved (serial), pooled, or delta-evaluated: the evaluator is a
+  // pure function and none of these paths may perturb it.
   const Scenario scenario = make_dataset1(19);
 
-  const auto front_for = [&](bool incremental, std::size_t threads,
-                             bool with_cache) {
+  const auto front_for = [&](bool incremental, std::size_t threads) {
     EvaluatorOptions options;
     options.incremental = incremental;
     const UtilityEnergyProblem problem(scenario.system, scenario.trace,
                                        std::move(options));
-    FitnessCacheConfig cache_config;
-    cache_config.capacity = 4096;
-    FitnessCache cache(cache_config);
     Nsga2Config config;
     config.population_size = 16;
     config.threads = threads;
     config.seed = 123;
-    if (with_cache) config.cache = &cache;
     Nsga2 algorithm(problem, config);
     algorithm.initialize({});
     algorithm.iterate(5);
     return algorithm.front_points();
   };
 
-  const std::vector<EUPoint> reference = front_for(true, 1, false);
+  const std::vector<EUPoint> reference = front_for(true, 1);
   ASSERT_FALSE(reference.empty());
   for (const bool incremental : {true, false}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      for (const bool with_cache : {false, true}) {
-        SCOPED_TRACE(std::string("incremental=") +
-                     (incremental ? "on" : "off") + " threads=" +
-                     std::to_string(threads) + " cache=" +
-                     (with_cache ? "on" : "off"));
-        EXPECT_EQ(front_for(incremental, threads, with_cache), reference);
-      }
+      SCOPED_TRACE(std::string("incremental=") +
+                   (incremental ? "on" : "off") +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(front_for(incremental, threads), reference);
     }
   }
 }
