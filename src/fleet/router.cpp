@@ -1,11 +1,6 @@
 #include "fleet/router.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -23,6 +18,7 @@ using serve::kCodeBadRequest;
 using serve::kCodeInternal;
 using serve::kCodeOk;
 using serve::kCodeOverloaded;
+using serve::ok_response;
 
 /// The mode slug capabilities match against ("heuristic" | "nsga2" |
 /// "pareto-query").
@@ -145,14 +141,10 @@ std::shared_ptr<Router::Fleet> Router::build_fleet(
 void Router::start() {
   if (started_.exchange(true)) return;
   uptime_.reset();
-  acceptor_.start(config_.port, [this](int fd) {
-    const int enable = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    connections_.reap();
-    connections_.adopt(fd, [this](serve::ConnectionSet::Connection* c) {
-      connection_loop(c);
-    });
-  });
+  listener_.start(
+      config_.port, config_.max_frame_bytes,
+      [this](const std::string& payload) { return process_payload(payload); },
+      metric_errors_);
   if (config_.health_period_s > 0.0) {
     prober_ = std::thread([this] { prober_loop(); });
   }
@@ -171,13 +163,13 @@ void Router::start() {
 
 void Router::request_stop() noexcept {
   draining_.store(true, std::memory_order_relaxed);
-  acceptor_.interrupt();
+  listener_.interrupt();
 }
 
 void Router::stop() {
   if (!started_.load()) return;
   draining_.store(true, std::memory_order_relaxed);
-  acceptor_.halt();
+  listener_.halt_accept();
   {
     const std::lock_guard lock(prober_mutex_);
     prober_stop_ = true;
@@ -186,90 +178,35 @@ void Router::stop() {
   if (prober_.joinable()) prober_.join();
   // In-flight proxied calls finish against backends that answer every
   // accepted request, so halting the readers drains rather than aborts.
-  connections_.halt();
+  listener_.halt_connections();
 }
 
-void Router::connection_loop(serve::ConnectionSet::Connection* connection) {
-  serve::FrameDecoder decoder(config_.max_frame_bytes);
-  std::vector<char> buffer(64 * 1024);
-  bool keep = true;
-  while (keep) {
-    std::optional<std::string> payload;
-    while (keep && (payload = decoder.next()).has_value()) {
-      keep = process_payload(connection, *payload);
-    }
-    if (!keep) break;
-    const ssize_t n =
-        ::recv(connection->fd, buffer.data(), buffer.size(), 0);
-    if (n == 0) break;  // peer closed (or drain shut the read side)
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    try {
-      decoder.feed(buffer.data(), static_cast<std::size_t>(n));
-    } catch (const serve::ProtocolError& e) {
-      // A hostile length prefix poisons the stream: answer once, close.
-      metric_errors_->add();
-      send_payload(connection,
-                   error_payload("", kCodeBadRequest, "error", e.what()));
-      break;
-    }
-  }
-  connections_.close_fd(connection);
-  connection->done.store(true, std::memory_order_release);
-}
-
-bool Router::process_payload(serve::ConnectionSet::Connection* connection,
-                             const std::string& payload) {
+std::string Router::process_payload(const std::string& payload) {
   serve::ServeRequest request;
   try {
     request = serve::parse_request_text(payload);
   } catch (const serve::ProtocolError& e) {
     metric_errors_->add();
-    send_payload(connection,
-                 error_payload("", kCodeBadRequest, "error", e.what()));
-    return true;
+    return error_payload("", kCodeBadRequest, "error", e.what());
   }
   metric_requests_->add();
 
   if (request.kind == serve::RequestKind::kHealthz) {
-    send_payload(connection, healthz_payload(request.id));
-    return true;
+    return healthz_payload(request.id);
   }
   if (request.kind == serve::RequestKind::kMetricsz) {
-    send_payload(connection, metricsz_payload(request.id));
-    return true;
+    return metricsz_payload(request.id);
   }
   if (request.kind == serve::RequestKind::kAdminz) {
-    send_payload(connection, adminz_payload(request));
-    return true;
+    return adminz_payload(request);
   }
 
   if (draining_.load(std::memory_order_relaxed)) {
     metric_errors_->add();
-    send_payload(connection,
-                 error_payload(request.id, kCodeOverloaded, "overloaded",
-                               "router is draining; no new work accepted"));
-    return true;
+    return error_payload(request.id, kCodeOverloaded, "overloaded",
+                         "router is draining; no new work accepted");
   }
-  send_payload(connection, route_allocate(std::move(request), payload));
-  return true;
-}
-
-void Router::send_payload(serve::ConnectionSet::Connection* connection,
-                          const std::string& payload) {
-  const std::string frame = serve::encode_frame(payload);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(connection->fd, frame.data() + sent,
-                             frame.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // peer gone; nothing sensible left to do
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  return route_allocate(std::move(request), payload);
 }
 
 std::string Router::route_allocate(serve::ServeRequest request,
@@ -642,11 +579,7 @@ std::string Router::healthz_payload(const std::string& id) const {
     if (backend->up.load(std::memory_order_relaxed)) ++up;
     if (backend->enabled.load(std::memory_order_relaxed)) ++enabled;
   }
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
+  JsonObject o = ok_response(id);
   o.field("service", "eus_router");
   o.field("uptime_s", uptime_.seconds());
   o.field("policy", to_string(config_.policy));
@@ -665,11 +598,7 @@ std::string Router::healthz_payload(const std::string& id) const {
 
 std::string Router::metricsz_payload(const std::string& id) const {
   const MetricsSnapshot snap = metrics_->snapshot();
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
+  JsonObject o = ok_response(id);
   o.field("service", "eus_router");
   o.field("uptime_s", uptime_.seconds());
   append_snapshot(o, snap);
@@ -677,11 +606,7 @@ std::string Router::metricsz_payload(const std::string& id) const {
 }
 
 std::string Router::admin_config_payload(const std::string& id) const {
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
+  JsonObject o = ok_response(id);
   o.field("action", "get-config");
   o.field("service", "eus_router");
   o.field("port", static_cast<std::uint64_t>(port()));
@@ -708,11 +633,7 @@ std::string Router::adminz_payload(const serve::ServeRequest& request) {
   const serve::AdminRequest& admin = request.admin;
   metric_admin_actions_->add();
   const auto applied = [&](const char* extra_key, std::uint64_t extra) {
-    JsonObject o;
-    o.field("type", "response");
-    if (!request.id.empty()) o.field("id", request.id);
-    o.field("status", "ok");
-    o.field("code", static_cast<std::int64_t>(kCodeOk));
+    JsonObject o = ok_response(request.id);
     o.field("action", to_string(admin.action));
     o.field(extra_key, extra);
     return o.str();
@@ -729,11 +650,7 @@ std::string Router::adminz_payload(const serve::ServeRequest& request) {
                              "no backend named \"" + admin.name +
                                  "\" in the fleet");
       }
-      JsonObject o;
-      o.field("type", "response");
-      if (!request.id.empty()) o.field("id", request.id);
-      o.field("status", "ok");
-      o.field("code", static_cast<std::int64_t>(kCodeOk));
+      JsonObject o = ok_response(request.id);
       o.field("action", to_string(admin.action));
       o.field("backend", admin.name);
       o.field("enabled", enable);
@@ -751,32 +668,9 @@ std::string Router::adminz_payload(const serve::ServeRequest& request) {
       reload_fleet(std::move(next));
       return applied("backends", backends);
     }
-    case serve::AdminAction::kCatalogReload: {
-      if (config_.catalog == nullptr) {
-        return error_payload(request.id, kCodeBadRequest, "error",
-                             "no scenario catalog configured; catalog-reload "
-                             "has no target");
-      }
-      std::shared_ptr<const ScenarioCatalog> next;
-      try {
-        next = std::make_shared<const ScenarioCatalog>(admin.catalog);
-      } catch (const std::invalid_argument& e) {
-        return error_payload(request.id, kCodeBadRequest, "error",
-                             std::string("catalog rejected: ") + e.what());
-      }
-      const std::size_t scenarios = next->size();
-      const std::uint64_t generation =
-          config_.catalog->swap(std::move(next));
-      JsonObject o;
-      o.field("type", "response");
-      if (!request.id.empty()) o.field("id", request.id);
-      o.field("status", "ok");
-      o.field("code", static_cast<std::int64_t>(kCodeOk));
-      o.field("action", "catalog-reload");
-      o.field("catalog_generation", generation);
-      o.field("catalog_size", static_cast<std::uint64_t>(scenarios));
-      return o.str();
-    }
+    case serve::AdminAction::kCatalogReload:
+      return serve::catalog_reload_payload(config_.catalog, admin,
+                                           request.id);
     case serve::AdminAction::kSetQueueDepth:
     case serve::AdminAction::kSetCacheEntries:
     case serve::AdminAction::kSetWorkers:
@@ -802,17 +696,7 @@ void Router::log_request(const serve::ServeRequest& request, int code,
   JsonObject o;
   o.field("type", "fleet_request");
   o.field("t_s", uptime_.seconds());
-  if (!request.id.empty()) o.field("id", request.id);
-  std::string mode{to_string(request.mode)};
-  if (request.mode == serve::ModeKind::kHeuristic) {
-    mode += std::string(":") + serve::heuristic_slug(request.heuristic);
-  }
-  o.field("mode", mode);
-  o.field("kind", to_string(request.kind));
-  o.field("scenario", request.kind == serve::RequestKind::kDelta
-                          ? request.delta.base.name
-                          : request.scenario.name);
-  if (!request.tenant.empty()) o.field("tenant", request.tenant);
+  serve::append_request_fields(o, request);
   o.field("code", static_cast<std::int64_t>(code));
   if (!backend.empty()) o.field("backend", backend);
   o.field("retried", retried);

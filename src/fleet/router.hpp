@@ -106,7 +106,7 @@ class Router {
 
   /// The bound port (valid after start()).
   [[nodiscard]] std::uint16_t port() const noexcept {
-    return acceptor_.port();
+    return listener_.port();
   }
 
   /// Async-signal-friendly: flips the drain flag and unblocks the
@@ -173,11 +173,9 @@ class Router {
   [[nodiscard]] std::shared_ptr<Fleet> build_fleet(
       FleetConfig config, const Fleet* previous) const;
 
-  void connection_loop(serve::ConnectionSet::Connection* connection);
-  bool process_payload(serve::ConnectionSet::Connection* connection,
-                       const std::string& payload);
-  void send_payload(serve::ConnectionSet::Connection* connection,
-                    const std::string& payload);
+  /// Parses and dispatches one request frame and returns the response
+  /// payload (the listener's respond callback).
+  [[nodiscard]] std::string process_payload(const std::string& payload);
 
   /// Schedules + proxies one allocate request; returns the response
   /// payload to relay.
@@ -217,8 +215,7 @@ class Router {
   mutable std::mutex fleet_mutex_;
   std::shared_ptr<const Fleet> fleet_;  ///< guarded by fleet_mutex_
 
-  serve::Acceptor acceptor_;
-  serve::ConnectionSet connections_;
+  serve::FrameListener listener_;
 
   std::thread prober_;
   std::mutex prober_mutex_;

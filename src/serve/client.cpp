@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "serve/net.hpp"
+
 namespace eus::serve {
 
 ClientConnection::~ClientConnection() { close(); }
@@ -69,16 +71,8 @@ void ClientConnection::close() noexcept {
 
 void ClientConnection::send(std::string_view payload) {
   if (fd_ < 0) throw ConnectError("not connected");
-  const std::string frame = encode_frame(payload);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw ConnectError(std::string("send(): ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!write_frame(fd_, payload)) {
+    throw ConnectError(std::string("send(): ") + std::strerror(errno));
   }
 }
 

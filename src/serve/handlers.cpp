@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "core/nsga2.hpp"
@@ -18,6 +20,16 @@
 namespace eus::serve {
 
 namespace {
+
+/// The request's mode slug, with the heuristic appended for heuristic mode
+/// ("heuristic:min-energy").
+std::string mode_label(const ServeRequest& request) {
+  std::string mode{to_string(request.mode)};
+  if (request.mode == ModeKind::kHeuristic) {
+    mode += std::string(":") + heuristic_slug(request.heuristic);
+  }
+  return mode;
+}
 
 std::string point_json(const EUPoint& point) {
   JsonObject o;
@@ -183,15 +195,59 @@ std::optional<EUPoint> select_point(const ParetoQuery& query,
 
 }  // namespace
 
-std::string error_payload(std::string_view id, int code,
-                          std::string_view status, std::string_view message) {
+JsonObject response_envelope(std::string_view id, int code,
+                             std::string_view status) {
   JsonObject o;
   o.field("type", "response");
   if (!id.empty()) o.field("id", id);
   o.field("status", status);
   o.field("code", static_cast<std::int64_t>(code));
+  return o;
+}
+
+JsonObject ok_response(std::string_view id) {
+  return response_envelope(id, kCodeOk, "ok");
+}
+
+std::string error_payload(std::string_view id, int code,
+                          std::string_view status, std::string_view message) {
+  JsonObject o = response_envelope(id, code, status);
   o.field("error", message);
   return o.str();
+}
+
+std::string catalog_reload_payload(SharedCatalog* catalog,
+                                   const AdminRequest& admin,
+                                   std::string_view id) {
+  if (catalog == nullptr) {
+    return error_payload(id, kCodeBadRequest, "error",
+                         "no scenario catalog configured; catalog-reload "
+                         "has no target");
+  }
+  std::shared_ptr<const ScenarioCatalog> next;
+  try {
+    next = std::make_shared<const ScenarioCatalog>(admin.catalog);
+  } catch (const std::invalid_argument& e) {
+    return error_payload(id, kCodeBadRequest, "error",
+                         std::string("catalog rejected: ") + e.what());
+  }
+  const std::size_t scenarios = next->size();
+  const std::uint64_t generation = catalog->swap(std::move(next));
+  JsonObject o = ok_response(id);
+  o.field("action", "catalog-reload");
+  o.field("catalog_generation", generation);
+  o.field("catalog_size", static_cast<std::uint64_t>(scenarios));
+  return o.str();
+}
+
+void append_request_fields(JsonObject& o, const ServeRequest& request) {
+  if (!request.id.empty()) o.field("id", request.id);
+  o.field("mode", mode_label(request));
+  o.field("kind", to_string(request.kind));
+  o.field("scenario", request.kind == RequestKind::kDelta
+                          ? request.delta.base.name
+                          : request.scenario.name);
+  if (!request.tenant.empty()) o.field("tenant", request.tenant);
 }
 
 namespace {
@@ -332,16 +388,9 @@ HandleResult handle_allocate(const ServeRequest& request,
       point = result.front.front();
     }
 
-    JsonObject o;
-    o.field("type", "response");
-    if (!request.id.empty()) o.field("id", request.id);
-    o.field("status", partial ? "partial" : "ok");
-    o.field("code", static_cast<std::int64_t>(code));
-    std::string mode{to_string(request.mode)};
-    if (request.mode == ModeKind::kHeuristic) {
-      mode += std::string(":") + heuristic_slug(request.heuristic);
-    }
-    o.field("mode", mode);
+    JsonObject o =
+        response_envelope(request.id, code, partial ? "partial" : "ok");
+    o.field("mode", mode_label(request));
     o.field("scenario", request.scenario.name);
     if (!request.tenant.empty()) {
       o.field("tenant", request.tenant);
@@ -444,11 +493,8 @@ HandleResult handle_delta(const ServeRequest& request,
     }
 
     const int code = partial ? kCodePartial : kCodeOk;
-    JsonObject o;
-    o.field("type", "response");
-    if (!request.id.empty()) o.field("id", request.id);
-    o.field("status", partial ? "partial" : "ok");
-    o.field("code", static_cast<std::int64_t>(code));
+    JsonObject o =
+        response_envelope(request.id, code, partial ? "partial" : "ok");
     o.field("mode", "nsga2");
     o.field("scenario", mutated.name);
     o.field("tenant", request.tenant);

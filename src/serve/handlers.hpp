@@ -28,9 +28,12 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
+#include "core/scenario_catalog.hpp"
 #include "serve/front_cache.hpp"
 #include "serve/protocol.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "tenant/archive_store.hpp"
 #include "util/thread_pool.hpp"
@@ -60,11 +63,32 @@ struct HandleResult {
   std::string payload;  ///< complete response JSON document
 };
 
+/// Opens a response document with the envelope every answer shares:
+/// "type":"response", "id" (when non-empty), "status" and "code".  Callers
+/// append their own fields and call str().
+[[nodiscard]] JsonObject response_envelope(std::string_view id, int code,
+                                           std::string_view status);
+
+/// response_envelope(id, kCodeOk, "ok").
+[[nodiscard]] JsonObject ok_response(std::string_view id);
+
 /// Builds the canonical error/overload payload (also used by the server for
 /// framing errors and queue backpressure, where no handler ever runs).
 [[nodiscard]] std::string error_payload(std::string_view id, int code,
                                         std::string_view status,
                                         std::string_view message);
+
+/// The catalog-reload admin verb, shared by eus_served and eus_router:
+/// validates `admin.catalog` and swaps it into `catalog` atomically.  A
+/// null `catalog` or an invalid one answers 400 and changes nothing.
+[[nodiscard]] std::string catalog_reload_payload(SharedCatalog* catalog,
+                                                 const AdminRequest& admin,
+                                                 std::string_view id);
+
+/// Appends the request fields both run logs share: id (when set), mode
+/// (with the heuristic slug), kind, the scenario (a delta's base) and the
+/// tenant (when set).
+void append_request_fields(JsonObject& o, const ServeRequest& request);
 
 /// Materializes the scenario a request names (including any
 /// dropped_machines a delta mutation applied).  Deterministic; throws

@@ -1,10 +1,9 @@
 #pragma once
 
 // Network plumbing shared by the single-node daemon (server.hpp) and the
-// fleet router (fleet/router.hpp): the listen-socket acceptor, the set of
-// per-connection reader threads, and the thread-safe JSONL request log.
-// Factored out of server.hpp so the router does not have to link the whole
-// request-execution engine to reuse the loopback TCP front end.
+// fleet router (fleet/router.hpp): the FrameListener that owns the listen
+// socket, the per-connection reader threads and the framing, the frame
+// writer the client shares, and the thread-safe JSONL request log.
 
 #include <atomic>
 #include <cstddef>
@@ -14,7 +13,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+
+namespace eus {
+class Counter;  // telemetry/metrics.hpp
+}  // namespace eus
 
 namespace eus::serve {
 
@@ -44,81 +48,74 @@ class RequestLog {
   std::atomic<std::size_t> lines_{0};
 };
 
-/// Listen socket + accept loop on a dedicated thread.  halt() is the
-/// teardown: wake the loop, join it, close the socket.
-class Acceptor {
+/// Writes `payload` as one length-prefixed frame, riding out short writes
+/// and EINTR (MSG_NOSIGNAL: a vanished peer is an error, not a SIGPIPE).
+/// Returns false when the connection failed mid-write; errno says why.
+bool write_frame(int fd, std::string_view payload);
+
+/// The loopback TCP front end of the framed protocol (docs/serving.md):
+/// a listen socket with its accept thread and one reader thread per
+/// connection.  Each request frame is handed to `respond`, and the payload
+/// it returns goes back as exactly one response frame, so responses leave
+/// in request order; a respond that throws is answered with a 500 frame.
+/// A hostile length prefix (over `max_frame_bytes`) cannot be
+/// resynchronized: it is answered with one 400 frame and the connection
+/// closes.
+class FrameListener {
  public:
-  Acceptor() = default;
-  ~Acceptor() { halt(); }
+  using Respond = std::function<std::string(const std::string& payload)>;
 
-  Acceptor(const Acceptor&) = delete;
-  Acceptor& operator=(const Acceptor&) = delete;
+  FrameListener() = default;
+  ~FrameListener() { halt_connections(); }
 
-  /// Binds loopback:`port` (0 = ephemeral), listens, spawns the accept
-  /// thread; `on_accept` receives each connected fd and takes ownership.
+  FrameListener(const FrameListener&) = delete;
+  FrameListener& operator=(const FrameListener&) = delete;
+
+  /// Binds loopback:`port` (0 = ephemeral), listens and spawns the accept
+  /// thread.  `frame_errors` counts hostile length prefixes and
+  /// `connections` counts accepted connections; either may be null.
   /// Throws std::runtime_error when the port cannot be bound.
-  void start(std::uint16_t port, std::function<void(int)> on_accept);
+  void start(std::uint16_t port, std::size_t max_frame_bytes,
+             Respond respond, Counter* frame_errors,
+             Counter* connections = nullptr);
 
   /// The bound port (valid after start(); resolves port 0 requests).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// Wakes the accept loop and makes it exit; safe from any thread and
-  /// does not block (request_stop's half of halt()).
+  /// does not block.
   void interrupt() noexcept;
 
-  /// interrupt() + join + close the listen socket.  Idempotent.
-  void halt();
+  /// interrupt() + join the accept thread + close the listen socket.
+  /// Idempotent.
+  void halt_accept();
 
-  [[nodiscard]] bool stopping() const noexcept {
-    return stopping_.load(std::memory_order_relaxed);
-  }
+  /// halt_accept(), then shuts every connection's read side down and joins
+  /// its reader.  Run it only once every pending respond() can return, or
+  /// it waits for them.  Idempotent.
+  void halt_connections();
 
  private:
-  void loop();
-
-  std::function<void(int)> on_accept_;
-  std::thread thread_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-};
-
-/// The live per-connection reader threads.  adopt() spawns one; halt()
-/// shuts every read side down and joins (run only after the workers have
-/// resolved all pending response futures, or readers block forever).
-class ConnectionSet {
- public:
   struct Connection {
     int fd = -1;
     std::thread thread;
     std::atomic<bool> done{false};
   };
 
-  ConnectionSet() = default;
-  ~ConnectionSet() { halt(); }
+  void accept_loop();
+  void read_loop(Connection* connection);
 
-  ConnectionSet(const ConnectionSet&) = delete;
-  ConnectionSet& operator=(const ConnectionSet&) = delete;
+  Respond respond_;
+  std::size_t max_frame_bytes_ = 0;
+  Counter* frame_errors_ = nullptr;
+  Counter* connections_accepted_ = nullptr;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<bool> stopping_{false};
 
-  /// Takes ownership of `fd` and runs `loop(connection)` on a new thread.
-  void adopt(int fd, const std::function<void(Connection*)>& loop);
-
-  /// Joins and forgets connections whose loop has finished (called from
-  /// the accept path so idle closes do not accumulate threads).
-  void reap();
-
-  /// Closes `connection`'s socket exactly once (loops call this on exit).
-  void close_fd(Connection* connection);
-
-  /// Shuts down every read side, joins every reader, clears the set.
-  /// Idempotent.  Callers must guarantee no concurrent adopt().
-  void halt();
-
-  [[nodiscard]] std::size_t active() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::list<std::unique_ptr<Connection>> connections_;
+  std::mutex mutex_;  ///< guards connections_ and every Connection::fd
+  std::list<Connection> connections_;
+  std::thread accept_thread_;
 };
 
 }  // namespace eus::serve

@@ -1,25 +1,13 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "serve/runtime.hpp"
 #include "telemetry/json.hpp"
 
 namespace eus::serve {
-
-// RequestLog / Acceptor / ConnectionSet implementations live in net.cpp.
 
 // ---------------------------------------------------------------- WorkerCrew
 
@@ -186,7 +174,10 @@ void Server::start() {
   uptime_.reset();
   crew_->start(config_.workers);
   metric_workers_->set(static_cast<double>(crew_->target()));
-  acceptor_.start(config_.port, [this](int fd) { on_accept(fd); });
+  listener_.start(
+      config_.port, config_.max_frame_bytes,
+      [this](const std::string& payload) { return process_payload(payload); },
+      metric_errors_, metric_connections_);
 
   if (config_.log != nullptr) {
     JsonObject o;
@@ -205,13 +196,13 @@ void Server::start() {
 
 void Server::request_stop() noexcept {
   draining_.store(true, std::memory_order_relaxed);
-  acceptor_.interrupt();
+  listener_.interrupt();
 }
 
 void Server::halt_acceptor() {
   if (acceptor_halted_.exchange(true)) return;
   draining_.store(true, std::memory_order_relaxed);
-  acceptor_.halt();
+  listener_.halt_accept();
   if (metric_halt_acceptor_ != nullptr) metric_halt_acceptor_->add();
 }
 
@@ -227,7 +218,7 @@ void Server::halt_workers() {
   // only then can the connection readers (blocked on those futures) be
   // unblocked and joined.
   crew_->halt();
-  connections_.halt();
+  listener_.halt_connections();
   if (metric_halt_workers_ != nullptr) metric_halt_workers_->add();
 }
 
@@ -236,15 +227,6 @@ void Server::stop() {
   halt_acceptor();
   halt_queue();
   halt_workers();
-}
-
-void Server::on_accept(int fd) {
-  const int enable = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-  metric_connections_->add();
-  connections_.reap();
-  connections_.adopt(
-      fd, [this](Connection* connection) { connection_loop(connection); });
 }
 
 void Server::execute_job(RequestJob& job) {
@@ -275,40 +257,7 @@ void Server::execute_job(RequestJob& job) {
       in_flight_.fetch_sub(1, std::memory_order_relaxed) - 1));
 }
 
-void Server::connection_loop(Connection* connection) {
-  FrameDecoder decoder(config_.max_frame_bytes);
-  std::vector<char> buffer(64 * 1024);
-  bool keep = true;
-  while (keep) {
-    std::optional<std::string> payload;
-    while (keep && (payload = decoder.next()).has_value()) {
-      keep = process_payload(connection, *payload);
-    }
-    if (!keep) break;
-    const ssize_t n =
-        ::recv(connection->fd, buffer.data(), buffer.size(), 0);
-    if (n == 0) break;  // peer closed (or drain shut the read side)
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    try {
-      decoder.feed(buffer.data(), static_cast<std::size_t>(n));
-    } catch (const ProtocolError& e) {
-      // A hostile length prefix poisons the whole stream: answer once,
-      // then close (there is no way to resynchronize framing).
-      metric_errors_->add();
-      send_payload(connection,
-                   error_payload("", kCodeBadRequest, "error", e.what()));
-      break;
-    }
-  }
-  connections_.close_fd(connection);
-  connection->done.store(true, std::memory_order_release);
-}
-
-bool Server::process_payload(Connection* connection,
-                             const std::string& payload) {
+std::string Server::process_payload(const std::string& payload) {
   const Stopwatch total;
   ServeRequest request;
   try {
@@ -317,24 +266,17 @@ bool Server::process_payload(Connection* connection,
     // Framing is intact, the document is not: answer and keep the
     // connection.
     metric_errors_->add();
-    send_payload(connection,
-                 error_payload("", kCodeBadRequest, "error", e.what()));
-    return true;
+    return error_payload("", kCodeBadRequest, "error", e.what());
   }
   metric_requests_->add();
 
   if (request.kind == RequestKind::kHealthz) {
-    send_payload(connection, healthz_payload(request.id));
-    return true;
+    return healthz_payload(request.id);
   }
   if (request.kind == RequestKind::kMetricsz) {
-    send_payload(connection, metricsz_payload(request.id));
-    return true;
+    return metricsz_payload(request.id);
   }
-  if (request.kind == RequestKind::kAdminz) {
-    send_payload(connection, adminz_payload(request));
-    return true;
-  }
+  if (request.kind == RequestKind::kAdminz) return adminz_payload(request);
 
   // Resolve catalog aliases to concrete specs *before* fingerprinting, so
   // cached fronts key on what actually runs — in-flight requests finish
@@ -350,11 +292,8 @@ bool Server::process_payload(Connection* connection,
     }
   } catch (const ProtocolError& e) {
     metric_errors_->add();
-    send_payload(connection,
-                 error_payload(request.id, kCodeBadRequest, "error",
-                               e.what()));
     log_request(request, kCodeBadRequest, total.milliseconds(), false);
-    return true;
+    return error_payload(request.id, kCodeBadRequest, "error", e.what());
   }
 
   RequestJob job;
@@ -365,15 +304,12 @@ bool Server::process_payload(Connection* connection,
     const char* reason = draining_.load(std::memory_order_relaxed)
                              ? "server is draining; no new work accepted"
                              : "request queue is full; retry with backoff";
-    send_payload(connection, error_payload(request.id, kCodeOverloaded,
-                                           "overloaded", reason));
     log_request(request, kCodeOverloaded, total.milliseconds(), true);
-    return true;
+    return error_payload(request.id, kCodeOverloaded, "overloaded", reason);
   }
   metric_queue_depth_->set(static_cast<double>(queue_->size()));
 
   HandleResult result = future.get();
-  send_payload(connection, result.payload);
   if (result.code == kCodeOk || result.code == kCodePartial) {
     metric_responses_ok_->add();
   } else {
@@ -381,30 +317,11 @@ bool Server::process_payload(Connection* connection,
   }
   metric_latency_->observe_seconds(total.seconds());
   log_request(request, result.code, total.milliseconds(), false);
-  return true;
-}
-
-void Server::send_payload(Connection* connection,
-                          const std::string& payload) {
-  const std::string frame = encode_frame(payload);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(connection->fd, frame.data() + sent,
-                             frame.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // peer gone; nothing sensible left to do
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  return std::move(result.payload);
 }
 
 std::string Server::healthz_payload(const std::string& id) const {
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
+  JsonObject o = ok_response(id);
   o.field("service", "eus_served");
   o.field("uptime_s", uptime_.seconds());
   if (config_.state != nullptr) {
@@ -437,22 +354,14 @@ std::string Server::healthz_payload(const std::string& id) const {
 
 std::string Server::metricsz_payload(const std::string& id) const {
   const MetricsSnapshot snap = metrics_->snapshot();
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
+  JsonObject o = ok_response(id);
   o.field("uptime_s", uptime_.seconds());
   append_snapshot(o, snap);
   return o.str();
 }
 
 std::string Server::admin_config_payload(const std::string& id) const {
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
+  JsonObject o = ok_response(id);
   o.field("action", "get-config");
   o.field("port", static_cast<std::uint64_t>(port()));
   if (config_.state != nullptr) {
@@ -495,11 +404,7 @@ std::string Server::adminz_payload(const ServeRequest& request) {
   const AdminRequest& admin = request.admin;
   metric_admin_actions_->add();
   const auto applied = [&](const char* extra_key, std::uint64_t extra) {
-    JsonObject o;
-    o.field("type", "response");
-    if (!request.id.empty()) o.field("id", request.id);
-    o.field("status", "ok");
-    o.field("code", static_cast<std::int64_t>(kCodeOk));
+    JsonObject o = ok_response(request.id);
     o.field("action", to_string(admin.action));
     o.field(extra_key, extra);
     return o.str();
@@ -521,31 +426,8 @@ std::string Server::adminz_payload(const ServeRequest& request) {
     case AdminAction::kSetWorkers:
       set_workers(admin.value);
       return applied("workers", crew_->target());
-    case AdminAction::kCatalogReload: {
-      if (config_.catalog == nullptr) {
-        return error_payload(request.id, kCodeBadRequest, "error",
-                             "no scenario catalog configured; catalog-reload "
-                             "has no target");
-      }
-      std::shared_ptr<const ScenarioCatalog> next;
-      try {
-        next = std::make_shared<const ScenarioCatalog>(admin.catalog);
-      } catch (const std::invalid_argument& e) {
-        return error_payload(request.id, kCodeBadRequest, "error",
-                             std::string("catalog rejected: ") + e.what());
-      }
-      const std::size_t scenarios = next->size();
-      const std::uint64_t generation = config_.catalog->swap(std::move(next));
-      JsonObject o;
-      o.field("type", "response");
-      if (!request.id.empty()) o.field("id", request.id);
-      o.field("status", "ok");
-      o.field("code", static_cast<std::int64_t>(kCodeOk));
-      o.field("action", "catalog-reload");
-      o.field("catalog_generation", generation);
-      o.field("catalog_size", static_cast<std::uint64_t>(scenarios));
-      return o.str();
-    }
+    case AdminAction::kCatalogReload:
+      return catalog_reload_payload(config_.catalog, admin, request.id);
     case AdminAction::kEnableBackend:
     case AdminAction::kDisableBackend:
     case AdminAction::kFleetReload:
@@ -559,11 +441,7 @@ std::string Server::adminz_payload(const ServeRequest& request) {
                              "(--archive-tenants=0); archive verbs have no "
                              "target");
       }
-      JsonObject o;
-      o.field("type", "response");
-      if (!request.id.empty()) o.field("id", request.id);
-      o.field("status", "ok");
-      o.field("code", static_cast<std::int64_t>(kCodeOk));
+      JsonObject o = ok_response(request.id);
       o.field("action", "archive-stats");
       o.field("tenants",
               static_cast<std::uint64_t>(config_.archive->tenants()));
@@ -623,17 +501,7 @@ void Server::log_request(const ServeRequest& request, int code,
   JsonObject o;
   o.field("type", "serve_request");
   o.field("t_s", uptime_.seconds());
-  if (!request.id.empty()) o.field("id", request.id);
-  std::string mode{to_string(request.mode)};
-  if (request.mode == ModeKind::kHeuristic) {
-    mode += std::string(":") + heuristic_slug(request.heuristic);
-  }
-  o.field("mode", mode);
-  o.field("kind", to_string(request.kind));
-  o.field("scenario", request.kind == RequestKind::kDelta
-                          ? request.delta.base.name
-                          : request.scenario.name);
-  if (!request.tenant.empty()) o.field("tenant", request.tenant);
+  append_request_fields(o, request);
   o.field("code", static_cast<std::int64_t>(code));
   o.field("dropped", dropped);
   o.field("total_ms", total_ms);

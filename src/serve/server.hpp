@@ -1,19 +1,19 @@
 #pragma once
 
 // eus_served's engine, decomposed into the components the runtime halts in
-// order (docs/runtime.md): an Acceptor (listen socket + accept thread), a
-// ConnectionSet (per-connection reader threads), a bounded request queue
-// with explicit backpressure, and a WorkerCrew (elastic worker pool that
+// order (docs/runtime.md): a FrameListener (listen socket, accept thread
+// and per-connection reader threads; net.hpp), a bounded request queue with
+// explicit backpressure, and a WorkerCrew (elastic worker pool that
 // executes allocate requests through handlers.cpp — NSGA-II evaluation
 // batches fan out onto one shared ThreadPool, so concurrent requests share
 // the machine instead of oversubscribing it).  The Server class is the
 // facade wiring them together; ServeRuntime (runtime.hpp) owns the
 // process-level lifecycle around it.
 //
-// Flow control: a connection reads one frame, parses it, and enqueues the
-// request; if the queue is full (or the server is draining) the client
-// gets an immediate 503-style JSON error — the queue never grows beyond
-// its configured depth.  healthz/metricsz/adminz requests bypass the queue
+// Flow control: the listener hands each request frame to process_payload(),
+// which parses it and enqueues the request; if the queue is full (or the
+// server is draining) the client gets an immediate 503-style JSON error —
+// the queue never grows beyond its configured depth.  healthz/metricsz/adminz requests bypass the queue
 // and answer inline from the connection thread, so health and the admin
 // plane stay responsive under full load.
 //
@@ -31,9 +31,9 @@
 // so no request that was accepted into the queue is ever dropped by
 // shutdown.
 //
-// Responses to a single connection are written in request order; clients
-// wanting concurrency open several connections (eus_client --concurrency
-// does exactly that).
+// The listener writes exactly one response frame per request frame, in
+// request order; clients wanting concurrency open several connections
+// (eus_client --concurrency does exactly that).
 
 #include <atomic>
 #include <cstdint>
@@ -58,9 +58,6 @@
 namespace eus::serve {
 
 class RuntimeState;  // runtime.hpp — healthz/adminz report its phase
-
-// RequestLog, Acceptor and ConnectionSet moved to serve/net.hpp — they are
-// shared with the fleet router (fleet/router.hpp).
 
 /// One queued allocate request, or a WorkerCrew control token.
 struct RequestJob {
@@ -168,7 +165,7 @@ class Server {
 
   /// The bound port (valid after start(); resolves port 0 requests).
   [[nodiscard]] std::uint16_t port() const noexcept {
-    return acceptor_.port();
+    return listener_.port();
   }
 
   /// Async-signal-friendly shutdown request: flips the drain flag and
@@ -213,15 +210,11 @@ class Server {
   }
 
  private:
-  using Connection = ConnectionSet::Connection;
-
-  void on_accept(int fd);
   void execute_job(RequestJob& job);
-  void connection_loop(Connection* connection);
-  /// Parses and dispatches one frame; returns false when the connection
-  /// should close (fatal framing error).
-  bool process_payload(Connection* connection, const std::string& payload);
-  void send_payload(Connection* connection, const std::string& payload);
+  /// Parses and dispatches one request frame and returns the response
+  /// payload (the listener's respond callback).  Allocate and delta
+  /// requests block here until a worker has answered them.
+  [[nodiscard]] std::string process_payload(const std::string& payload);
   [[nodiscard]] std::string healthz_payload(const std::string& id) const;
   [[nodiscard]] std::string metricsz_payload(const std::string& id) const;
   [[nodiscard]] std::string adminz_payload(const ServeRequest& request);
@@ -238,8 +231,7 @@ class Server {
 
   std::unique_ptr<BoundedQueue<RequestJob>> queue_;
   std::unique_ptr<WorkerCrew> crew_;
-  Acceptor acceptor_;
-  ConnectionSet connections_;
+  FrameListener listener_;
 
   Stopwatch uptime_;
   std::atomic<bool> started_{false};

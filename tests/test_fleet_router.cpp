@@ -4,13 +4,14 @@
 // front bit-identity against a direct backend, consistent-hash cache
 // affinity, capability-tag eligibility, failover with passive mark-down
 // and probe-driven recovery, enable/disable and fleet-reload through the
-// adminz wire, router-side alias resolution, drain semantics, and the
-// routing-policy unit surface.
+// adminz wire, router-side alias resolution, malformed and oversized
+// frames, drain semantics, and the routing-policy unit surface.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario_catalog.hpp"
@@ -339,6 +340,51 @@ TEST(FleetRouter, AliasesResolveAtTheRouterNotTheBackend) {
   const util::JsonValue doc2 = one_shot(fleet.router->port(), request2);
   EXPECT_EQ(code_of(doc2), serve::kCodeOk);
   EXPECT_EQ(doc2.string_or("cache", ""), "hit");
+}
+
+TEST(FleetRouter, MalformedJsonAnswers400AndKeepsTheConnection) {
+  FleetHarness fleet(1);
+  ClientConnection connection;
+  connection.connect(fleet.router->port());
+
+  const util::JsonValue error =
+      util::parse_json(connection.call("this is not json"));
+  EXPECT_EQ(code_of(error), serve::kCodeBadRequest);
+  EXPECT_NE(error.string_or("error", "").find("malformed"),
+            std::string::npos);
+  EXPECT_EQ(fleet.fleet_counter("errors"), 1U);
+
+  // Framing stayed intact: the same connection still answers healthz.
+  const util::JsonValue health =
+      util::parse_json(connection.call(R"({"type":"healthz"})"));
+  EXPECT_EQ(code_of(health), serve::kCodeOk);
+  EXPECT_EQ(health.string_or("service", ""), "eus_router");
+}
+
+TEST(FleetRouter, OversizedFrameAnswers400AndCloses) {
+  RouterConfig config;
+  config.health_period_s = 0.0;
+  config.max_frame_bytes = 256;
+  Router router(std::move(config));
+  router.start();
+  ClientConnection connection;
+  connection.connect(router.port());
+
+  const util::JsonValue error = util::parse_json(
+      connection.call(std::string(1024, ' ') + R"({"type":"healthz"})"));
+  EXPECT_EQ(code_of(error), serve::kCodeBadRequest);
+  EXPECT_NE(error.string_or("error", "").find("exceeds"),
+            std::string::npos);
+  EXPECT_EQ(router.metrics().counter("fleet.errors").value(), 1U);
+
+  // A hostile length prefix cannot be resynchronized: the router closes.
+  EXPECT_THROW(
+      {
+        connection.send(R"({"type":"healthz"})");
+        (void)connection.receive();
+      },
+      serve::ConnectError);
+  router.stop();
 }
 
 TEST(FleetRouter, DrainRejectsNewAllocatesOnLiveConnections) {
