@@ -3,13 +3,13 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "benchkit/json_value.hpp"
 #include "benchkit/results.hpp"
 #include "telemetry/json.hpp"
+#include "util/json_value.hpp"
 
 namespace eus::benchkit {
 
-Baselines baselines_from_json(const JsonValue& doc) {
+Baselines baselines_from_json(const util::JsonValue& doc) {
   if (!doc.is_object()) throw std::runtime_error("baselines: not an object");
   Baselines b;
   b.schema_version = static_cast<int>(doc.number_or("schema_version", 0));
@@ -18,7 +18,7 @@ Baselines baselines_from_json(const JsonValue& doc) {
                              std::to_string(b.schema_version));
   }
   b.machine = doc.string_or("machine", "");
-  const JsonValue* scenarios = doc.get("scenarios");
+  const util::JsonValue* scenarios = doc.get("scenarios");
   if (scenarios == nullptr || !scenarios->is_object()) {
     throw std::runtime_error("baselines: missing scenarios table");
   }
@@ -28,14 +28,14 @@ Baselines baselines_from_json(const JsonValue& doc) {
                                "' is not an object");
     }
     for (const auto& [metric, entry] : metrics.object) {
-      const JsonValue* value = entry.get("value");
+      const util::JsonValue* value = entry.get("value");
       if (value == nullptr || !value->is_number()) {
         throw std::runtime_error("baselines: metric '" + scenario + "." +
                                  metric + "' has no numeric value");
       }
       BaselineMetric bm;
       bm.value = value->number;
-      if (const JsonValue* tol = entry.get("tolerance_pct");
+      if (const util::JsonValue* tol = entry.get("tolerance_pct");
           tol != nullptr && tol->is_number()) {
         bm.tolerance_pct = tol->number;
       }

@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "benchkit/json_value.hpp"
+#include "util/json_value.hpp"
 
 namespace eus::benchkit {
 struct BenchResults;
@@ -45,7 +45,7 @@ struct Baselines {
 };
 
 /// Parses the schema above; throws std::runtime_error on violations.
-[[nodiscard]] Baselines baselines_from_json(const JsonValue& doc);
+[[nodiscard]] Baselines baselines_from_json(const util::JsonValue& doc);
 
 [[nodiscard]] std::string to_json(const Baselines& baselines);
 

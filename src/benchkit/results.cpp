@@ -6,9 +6,9 @@
 #include <stdexcept>
 #include <thread>
 
-#include "benchkit/json_value.hpp"
 #include "telemetry/json.hpp"
 #include "util/env.hpp"
+#include "util/json_value.hpp"
 
 namespace eus::benchkit {
 
@@ -23,7 +23,7 @@ std::string metric_map_json(const std::map<std::string, double>& values) {
   return obj.str();
 }
 
-std::map<std::string, double> metric_map_from_json(const JsonValue* obj) {
+std::map<std::string, double> metric_map_from_json(const util::JsonValue* obj) {
   std::map<std::string, double> out;
   if (obj == nullptr || !obj->is_object()) return out;
   for (const auto& [name, value] : obj->object) {
@@ -117,7 +117,7 @@ std::string to_json(const BenchResults& results) {
   return doc.str();
 }
 
-BenchResults results_from_json(const JsonValue& doc) {
+BenchResults results_from_json(const util::JsonValue& doc) {
   if (!doc.is_object()) throw std::runtime_error("results: not an object");
   BenchResults results;
   results.schema_version =
@@ -127,12 +127,12 @@ BenchResults results_from_json(const JsonValue& doc) {
                              std::to_string(results.schema_version));
   }
   results.git_sha = doc.string_or("git_sha", "unknown");
-  if (const JsonValue* machine = doc.get("machine")) {
+  if (const util::JsonValue* machine = doc.get("machine")) {
     results.machine.host = machine->string_or("host", "");
     results.machine.hardware_threads =
         static_cast<unsigned>(machine->number_or("hardware_threads", 0));
   }
-  if (const JsonValue* config = doc.get("config")) {
+  if (const util::JsonValue* config = doc.get("config")) {
     results.config.scale = config->number_or("scale", 1.0);
     results.config.seed =
         static_cast<std::uint64_t>(config->number_or("seed", 0));
@@ -143,7 +143,7 @@ BenchResults results_from_json(const JsonValue& doc) {
     results.config.repetitions =
         static_cast<std::size_t>(config->number_or("repetitions", 1));
   }
-  const JsonValue* scenarios = doc.get("scenarios");
+  const util::JsonValue* scenarios = doc.get("scenarios");
   if (scenarios == nullptr || !scenarios->is_object()) {
     throw std::runtime_error("results: missing scenarios table");
   }
@@ -151,9 +151,9 @@ BenchResults results_from_json(const JsonValue& doc) {
     ScenarioResult s;
     s.name = name;
     s.exit_code = static_cast<int>(entry.number_or("exit_code", 0));
-    if (const JsonValue* wall = entry.get("wall_s")) {
-      if (const JsonValue* samples = wall->get("samples")) {
-        for (const JsonValue& v : samples->array) {
+    if (const util::JsonValue* wall = entry.get("wall_s")) {
+      if (const util::JsonValue* samples = wall->get("samples")) {
+        for (const util::JsonValue& v : samples->array) {
           if (v.is_number()) s.wall_s.push_back(v.number);
         }
       }

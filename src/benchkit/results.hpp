@@ -29,9 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "benchkit/json_value.hpp"
-
 #include "benchkit/stats.hpp"
+#include "util/json_value.hpp"
 
 namespace eus::benchkit {
 
@@ -77,7 +76,7 @@ struct BenchResults {
 
 /// Parses a document produced by to_json().  Throws std::runtime_error on
 /// schema violations (wrong schema_version, missing scenarios table).
-[[nodiscard]] BenchResults results_from_json(const JsonValue& doc);
+[[nodiscard]] BenchResults results_from_json(const util::JsonValue& doc);
 
 /// Hostname + hardware thread count of this process's machine.
 [[nodiscard]] MachineInfo local_machine();

@@ -31,10 +31,9 @@ LocalSearchResult local_search(const BiObjectiveProblem& problem,
   const Trace& trace = problem.trace();
 
   // Single-gene moves are the delta-evaluator's best case: only the one or
-  // two machines a move touches get re-simulated.  Fronts stay
-  // bit-identical with the seam disabled (see docs/evaluator.md).
-  const Evaluator* ev = problem.incremental_evaluator();
-  const bool use_delta = ev != nullptr && ev->incremental_on();
+  // two machines a move touches get re-simulated, bit-identically to a full
+  // simulation (see docs/evaluator.md).
+  const Evaluator& ev = problem.evaluator();
   EvalState state;
   EvalState candidate_state;
   std::vector<std::uint32_t> touched;
@@ -42,8 +41,7 @@ LocalSearchResult local_search(const BiObjectiveProblem& problem,
   LocalSearchResult result;
   result.allocation = std::move(start);
   result.objectives =
-      use_delta ? problem.objectives_of(ev->evaluate(result.allocation, state))
-                : problem.evaluate(result.allocation);
+      problem.objectives_of(ev.evaluate(result.allocation, state));
   result.evaluations = 1;
   if (tasks == 0) return result;
 
@@ -80,11 +78,9 @@ LocalSearchResult local_search(const BiObjectiveProblem& problem,
       touched.push_back(static_cast<std::uint32_t>(p));
     }
 
-    const EUPoint objectives =
-        use_delta ? problem.objectives_of(ev->evaluate_incremental(
-                        candidate, result.allocation, state, touched,
-                        candidate_state, /*trusted_child=*/true))
-                  : problem.evaluate(candidate);
+    const EUPoint objectives = problem.objectives_of(
+        ev.evaluate_incremental(candidate, result.allocation, state, touched,
+                                candidate_state, /*trusted_child=*/true));
     ++result.evaluations;
     const double candidate_score =
         score(objectives, options.lambda, u_scale, e_scale);

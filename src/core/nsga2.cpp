@@ -53,35 +53,28 @@ void Nsga2::evaluate_individual(std::vector<Individual>& individuals,
                                 std::size_t idx, const OffspringHint* hint,
                                 bool trusted_genome) {
   Individual& ind = individuals[idx];
-  const Evaluator* ev = problem_->incremental_evaluator();
-  const bool use_delta = ev != nullptr && ev->incremental_on();
-  if (!use_delta) {
-    ind.objectives = problem_->evaluate(ind.genome);
-    return;
-  }
+  const Evaluator& ev = problem_->evaluator();
   // Cheapest applicable path: clone of the parent (reuse its objectives
   // and partials) > delta re-simulation of the dirty machines > full
-  // simulation.  All three produce bit-identical objectives.
+  // simulation.  All three produce bit-identical objectives; whether a
+  // delta pays off is the evaluator's call.
   if (hint != nullptr && !hint->full) {
-    // Operator-built child of a validated parent: structurally valid, so
-    // the evaluator may skip per-gene validation.
+    // Operator-built child of an evaluated parent (which always carries a
+    // state): structurally valid, so per-gene validation is skipped.
     const Individual& parent = individuals[hint->parent];
-    if (!parent.state.valid()) {
-      ind.objectives = problem_->objectives_of(
-          ev->evaluate_trusted(ind.genome, ind.state));
-    } else if (hint->touched.empty()) {
+    if (hint->touched.empty()) {
       ind.state = parent.state;
       ind.objectives = parent.objectives;
     } else {
-      ind.objectives = problem_->objectives_of(ev->evaluate_incremental(
+      ind.objectives = problem_->objectives_of(ev.evaluate_incremental(
           ind.genome, parent.genome, parent.state, hint->touched, ind.state,
           /*trusted_child=*/true));
     }
     return;
   }
   ind.objectives = problem_->objectives_of(
-      trusted_genome ? ev->evaluate_trusted(ind.genome, ind.state)
-                     : ev->evaluate(ind.genome, ind.state));
+      trusted_genome ? ev.evaluate_trusted(ind.genome, ind.state)
+                     : ev.evaluate(ind.genome, ind.state));
 }
 
 void Nsga2::evaluate_all(std::vector<Individual>& individuals,
@@ -124,7 +117,6 @@ void Nsga2::initialize(const std::vector<Allocation>& seeds) {
 
   population_.clear();
   population_.reserve(config_.population_size);
-  const Evaluator* ev = problem_->incremental_evaluator();
   const bool interleave = inline_evaluation();
   const auto eval_fresh = [&]() {
     if (!interleave) return;
@@ -141,7 +133,7 @@ void Nsga2::initialize(const std::vector<Allocation>& seeds) {
     // random fills below are valid by construction (drawn from eligible
     // machines and in-range p-states), so the initial evaluation sweep
     // can skip the per-gene pass for the whole population.
-    if (ev != nullptr) ev->validate(seed);
+    problem_->evaluator().validate(seed);
     population_.push_back({seed, {}, 0, 0.0, {}});
     eval_fresh();
   }
@@ -175,10 +167,12 @@ void Nsga2::initialize_warm(const std::vector<Allocation>& seeds,
   const std::size_t injected = std::min(room, warm.size());
   combined.insert(combined.end(), warm.begin(),
                   warm.begin() + static_cast<std::ptrdiff_t>(injected));
+  initialize(combined);
+  // Counted only once initialize() accepted them: a rejected warm start
+  // (wrong genome size, invalid seed, double initialize) injected nothing.
   if (injected > 0 && config_.metrics != nullptr) {
     config_.metrics->counter("nsga2.warm_seeds").add(injected);
   }
-  initialize(combined);
 }
 
 void Nsga2::annotate_and_select(std::vector<Individual>& meta) {
@@ -248,11 +242,8 @@ void Nsga2::iterate(std::size_t generations) {
       return crowded_tournament_winner(meta, a, b, rng_);
     };
 
-    // Lineage hints for the delta-evaluator; skipped (full stays true)
-    // when the problem has no evaluator or the knob is off.
-    const Evaluator* ev = problem_->incremental_evaluator();
-    const bool track_deltas = ev != nullptr && ev->incremental_on() &&
-                              !config_.repair_order_permutation;
+    // Lineage hints for the delta-evaluator; under order repair, which
+    // rewrites every order gene, `full` stays true.
     hints_.resize(n);
     for (OffspringHint& hint : hints_) {
       hint.full = true;
@@ -286,8 +277,7 @@ void Nsga2::iterate(std::size_t generations) {
           if (config_.repair_order_permutation) {
             repair_order_permutation(child_a);
             repair_order_permutation(child_b);
-          }
-          if (track_deltas) {
+          } else {
             // The true delta vs the parent each child was cloned from:
             // crossover only changes genes where the parents disagreed, so
             // filter the segment (and any mutated genes) down to actual

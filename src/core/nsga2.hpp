@@ -73,10 +73,9 @@ struct Individual {
   std::size_t rank = 0;     ///< 0 == nondominated
   double crowding = 0.0;
   /// Per-machine simulation partials backing the incremental
-  /// delta-evaluator (empty for a problem without an Evaluator, or with
-  /// incremental evaluation switched off).  Offspring whose
-  /// operators touched few genes re-simulate only the dirty machines of
-  /// their parent's state; fronts are bit-identical either way.
+  /// delta-evaluator; every evaluated individual carries one.  Offspring
+  /// whose operators touched few genes re-simulate only the dirty machines
+  /// of their parent's state, bit-identically to a full simulation.
   EvalState state;
 };
 
@@ -113,8 +112,9 @@ class Nsga2 {
   /// initialize()), then as many `warm` genomes as still fit are injected
   /// — archived fronts from a previous converged run — and the remainder is
   /// filled uniformly at random exactly as a cold start would.  Overflowing
-  /// warm genomes are dropped (lowest-index kept).  Bumps the
-  /// `nsga2.warm_seeds` counter by the number injected.
+  /// warm genomes are dropped (lowest-index kept).  Once initialize()
+  /// accepts the population, bumps the `nsga2.warm_seeds` counter by the
+  /// number injected; a rejected warm start counts nothing.
   void initialize_warm(const std::vector<Allocation>& seeds,
                        const std::vector<Allocation>& warm);
 

@@ -1,11 +1,15 @@
 #pragma once
 
-// The bi-objective resource-allocation problem interface consumed by the
-// NSGA-II.  Objectives are reported as an EUPoint: `energy` is minimized
-// and `utility` maximized (Figure 2's axes).  Problems with different
-// semantics map into that convention (see MakespanEnergyProblem).
+// The bi-objective resource-allocation problem consumed by the NSGA-II,
+// annealing and local search.  Every problem owns the one Evaluator that
+// scores its genomes; optimizers call it directly (full, trusted or delta
+// path) and map the raw Evaluation through objectives_of.  Objectives are
+// reported as an EUPoint: `energy` is minimized and `utility` maximized
+// (Figure 2's axes).  Problems with different semantics map into that
+// convention (see MakespanEnergyProblem).
 
 #include <cstddef>
+#include <utility>
 
 #include "pareto/point.hpp"
 #include "sched/evaluator.hpp"
@@ -14,76 +18,55 @@ namespace eus {
 
 class BiObjectiveProblem {
  public:
+  /// Both referents must outlive the problem.
+  BiObjectiveProblem(const SystemModel& system, const Trace& trace,
+                     EvaluatorOptions options = {})
+      : evaluator_(system, trace, std::move(options)) {}
   virtual ~BiObjectiveProblem() = default;
 
-  /// Number of genes (== trace size).
-  [[nodiscard]] virtual std::size_t genome_size() const = 0;
+  /// Maps a raw simulator Evaluation into this problem's (energy, utility)
+  /// point convention — the one decision the problems differ on.
+  [[nodiscard]] virtual EUPoint objectives_of(const Evaluation& e) const = 0;
 
-  /// Objective values of a complete allocation.  Must be thread-safe.
-  [[nodiscard]] virtual EUPoint evaluate(const Allocation& allocation)
-      const = 0;
+  /// Objective values of a complete allocation (validated).  Thread-safe.
+  [[nodiscard]] EUPoint evaluate(const Allocation& allocation) const {
+    return objectives_of(evaluator_.evaluate(allocation));
+  }
+
+  /// The simulator behind evaluate(); optimizers reach its delta path here.
+  [[nodiscard]] const Evaluator& evaluator() const noexcept {
+    return evaluator_;
+  }
+
+  /// Number of genes (== trace size).
+  [[nodiscard]] std::size_t genome_size() const {
+    return evaluator_.trace().size();
+  }
 
   /// Catalog access for genetic operators (eligibility, arrival times).
-  [[nodiscard]] virtual const SystemModel& system() const = 0;
-  [[nodiscard]] virtual const Trace& trace() const = 0;
+  [[nodiscard]] const SystemModel& system() const {
+    return evaluator_.system();
+  }
+  [[nodiscard]] const Trace& trace() const { return evaluator_.trace(); }
 
   /// Number of DVFS P-states a pstate gene may take; 0 disables the gene.
-  [[nodiscard]] virtual std::size_t num_pstates() const { return 0; }
-
-  /// Delta-evaluation seam: the Evaluator behind evaluate(), or nullptr
-  /// when this problem has none (optimizers then always re-simulate from
-  /// scratch).  A non-null return promises that
-  /// objectives_of(evaluator->evaluate(a)) == evaluate(a) bit for bit, so
-  /// callers may route through Evaluator::evaluate_incremental and map the
-  /// result with objectives_of without perturbing fronts.
-  [[nodiscard]] virtual const Evaluator* incremental_evaluator()
-      const noexcept {
-    return nullptr;
+  [[nodiscard]] std::size_t num_pstates() const {
+    return evaluator_.options().dvfs ? evaluator_.options().dvfs->size() : 0;
   }
 
-  /// Maps a raw simulator Evaluation into this problem's (energy, utility)
-  /// point convention.  Only meaningful when incremental_evaluator() is
-  /// non-null; the default is the paper's utility/energy reading.
-  [[nodiscard]] virtual EUPoint objectives_of(const Evaluation& e) const {
-    return {e.energy, e.utility};
-  }
+ private:
+  Evaluator evaluator_;
 };
 
 /// The paper's primary problem: maximize total utility earned, minimize
 /// total energy consumed (§IV-B).
 class UtilityEnergyProblem final : public BiObjectiveProblem {
  public:
-  UtilityEnergyProblem(const SystemModel& system, const Trace& trace,
-                       EvaluatorOptions options = {})
-      : evaluator_(system, trace, std::move(options)) {}
+  using BiObjectiveProblem::BiObjectiveProblem;
 
-  [[nodiscard]] std::size_t genome_size() const override {
-    return evaluator_.trace().size();
-  }
-  [[nodiscard]] EUPoint evaluate(const Allocation& a) const override {
-    const Evaluation e = evaluator_.evaluate(a);
+  [[nodiscard]] EUPoint objectives_of(const Evaluation& e) const override {
     return {e.energy, e.utility};
   }
-  [[nodiscard]] const SystemModel& system() const override {
-    return evaluator_.system();
-  }
-  [[nodiscard]] const Trace& trace() const override {
-    return evaluator_.trace();
-  }
-  [[nodiscard]] std::size_t num_pstates() const override {
-    return evaluator_.options().dvfs ? evaluator_.options().dvfs->size() : 0;
-  }
-  [[nodiscard]] const Evaluator* incremental_evaluator()
-      const noexcept override {
-    return &evaluator_;
-  }
-
-  [[nodiscard]] const Evaluator& evaluator() const noexcept {
-    return evaluator_;
-  }
-
- private:
-  Evaluator evaluator_;
 };
 
 /// The predecessor baseline (Friese et al., INFOCOMP 2012, the paper's
@@ -91,36 +74,11 @@ class UtilityEnergyProblem final : public BiObjectiveProblem {
 /// utility = -makespan so "maximize utility" == "minimize makespan".
 class MakespanEnergyProblem final : public BiObjectiveProblem {
  public:
-  MakespanEnergyProblem(const SystemModel& system, const Trace& trace,
-                        EvaluatorOptions options = {})
-      : evaluator_(system, trace, std::move(options)) {}
+  using BiObjectiveProblem::BiObjectiveProblem;
 
-  [[nodiscard]] std::size_t genome_size() const override {
-    return evaluator_.trace().size();
-  }
-  [[nodiscard]] EUPoint evaluate(const Allocation& a) const override {
-    const Evaluation e = evaluator_.evaluate(a);
-    return {e.energy, -e.makespan};
-  }
-  [[nodiscard]] const SystemModel& system() const override {
-    return evaluator_.system();
-  }
-  [[nodiscard]] const Trace& trace() const override {
-    return evaluator_.trace();
-  }
-  [[nodiscard]] std::size_t num_pstates() const override {
-    return evaluator_.options().dvfs ? evaluator_.options().dvfs->size() : 0;
-  }
-  [[nodiscard]] const Evaluator* incremental_evaluator()
-      const noexcept override {
-    return &evaluator_;
-  }
   [[nodiscard]] EUPoint objectives_of(const Evaluation& e) const override {
     return {e.energy, -e.makespan};
   }
-
- private:
-  Evaluator evaluator_;
 };
 
 }  // namespace eus

@@ -43,7 +43,6 @@ struct EvalState {
   std::vector<MachinePartial> machines;
 
   [[nodiscard]] bool valid() const noexcept { return !machines.empty(); }
-  void reset() noexcept { machines.clear(); }
 };
 
 }  // namespace eus

@@ -22,9 +22,10 @@
 // machine, so when a genetic operator touches only a few genes the
 // evaluator re-simulates just the machines whose task sets, orders, or
 // P-states changed (evaluate_incremental) and re-reduces per-machine
-// partials (EvalState).  The result is bit-identical to the full
-// simulation in every option mode; the full path remains the oracle the
-// differential tests compare against.
+// partials (EvalState).  Whether a delta pays off is decided per call from
+// the inputs alone.  The result is bit-identical to the full simulation in
+// every option mode; the full path remains the oracle the differential
+// tests compare against.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,10 +55,6 @@ struct EvaluatorOptions {
   /// powered down).  With idle power, packing work onto fewer machines
   /// can beat pure per-task EEC minimization.
   std::vector<double> idle_watts;
-  /// Delta-evaluation override: unset honors the EUS_INCREMENTAL knob
-  /// (default on).  Off forces evaluate_incremental through the full
-  /// simulator; fronts are bit-identical either way.
-  std::optional<bool> incremental;
   /// Optional telemetry sink (must outlive the evaluator).  When set, the
   /// evaluator counts evaluations ("evaluator.evaluations"), dropped tasks
   /// ("evaluator.tasks_dropped"), and the delta-path outcome counters
@@ -125,12 +122,12 @@ class Evaluator {
   /// `parent_state`.  Only the machines whose task sets, orders, or
   /// P-states changed are re-simulated; the result is bit-identical to
   /// evaluate(child).  Falls back to the full simulator — still filling
-  /// `out_state` — when the delta is large, the shapes diverge, the state
-  /// is invalid, or incremental evaluation is disabled.  Touched genes are
-  /// validated like validate(); untouched genes are trusted (the parent
-  /// was validated).  With `trusted_child` the touched-gene validation is
-  /// skipped too, under the same structural-validity contract as
-  /// evaluate_trusted() (gene indices in `touched` are still range-checked).
+  /// `out_state` — when the delta is large, the shapes diverge, or the
+  /// state is invalid.  Touched genes are validated like validate();
+  /// untouched genes are trusted (the parent was validated).  With
+  /// `trusted_child` the touched-gene validation is skipped too, under the
+  /// same structural-validity contract as evaluate_trusted() (gene indices
+  /// in `touched` are still range-checked).
   Evaluation evaluate_incremental(const Allocation& child,
                                   const Allocation& parent,
                                   const EvalState& parent_state,
@@ -147,12 +144,6 @@ class Evaluator {
   /// a machine index is out of range, a task is mapped to an ineligible
   /// machine, or a P-state index is invalid.
   void validate(const Allocation& allocation) const;
-
-  /// Whether evaluate_incremental may take the delta path (the
-  /// EUS_INCREMENTAL knob, or EvaluatorOptions::incremental when set).
-  [[nodiscard]] bool incremental_on() const noexcept {
-    return incremental_on_;
-  }
 
   [[nodiscard]] const SystemModel& system() const noexcept { return *system_; }
   [[nodiscard]] const Trace& trace() const noexcept { return *trace_; }
@@ -246,7 +237,6 @@ class Evaluator {
   std::vector<double> dvfs_time_;
   std::vector<double> dvfs_power_;
 
-  bool incremental_on_ = true;
   /// Resolved once at construction so the hot path never does name lookups.
   Counter* metric_evaluations_ = nullptr;
   Counter* metric_dropped_ = nullptr;

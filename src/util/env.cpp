@@ -50,12 +50,6 @@ std::size_t bench_threads() {
   return t < 0 ? 0U : static_cast<std::size_t>(t);
 }
 
-bool incremental_enabled() {
-  const auto text = env_string("EUS_INCREMENTAL");
-  if (!text) return true;
-  return !(*text == "off" || *text == "none" || *text == "0");
-}
-
 std::uint16_t serve_port() {
   constexpr std::int64_t kDefault = 7461;
   const std::int64_t p = env_int("EUS_SERVE_PORT", kDefault);

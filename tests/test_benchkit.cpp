@@ -8,12 +8,12 @@
 #include <regex>
 
 #include "benchkit/compare.hpp"
-#include "benchkit/json_value.hpp"
 #include "benchkit/registry.hpp"
 #include "benchkit/results.hpp"
 #include "benchkit/runner.hpp"
 #include "benchkit/stats.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/json_value.hpp"
 
 namespace eus::benchkit {
 namespace {
@@ -106,30 +106,30 @@ TEST(BenchkitStats, MadAbsorbsOneOutlier) {
 // -------------------------------------------------------------------- json
 
 TEST(BenchkitJson, ParsesScalarsContainersAndEscapes) {
-  const JsonValue doc = parse_json(
+  const util::JsonValue doc = util::parse_json(
       R"({"a": 1.5, "b": "x\n\"yA", "c": [true, null, -2e3],
           "nested": {"k": 7}})");
   ASSERT_TRUE(doc.is_object());
   EXPECT_DOUBLE_EQ(doc.number_or("a", 0.0), 1.5);
   EXPECT_EQ(doc.string_or("b", ""), "x\n\"yA");
-  const JsonValue* c = doc.get("c");
+  const util::JsonValue* c = doc.get("c");
   ASSERT_TRUE(c != nullptr && c->is_array());
   ASSERT_EQ(c->array.size(), 3U);
   EXPECT_TRUE(c->array[0].boolean);
-  EXPECT_EQ(c->array[1].kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(c->array[1].kind, util::JsonValue::Kind::kNull);
   EXPECT_DOUBLE_EQ(c->array[2].number, -2000.0);
   ASSERT_TRUE(doc.get("nested") != nullptr);
   EXPECT_DOUBLE_EQ(doc.get("nested")->number_or("k", 0.0), 7.0);
 }
 
 TEST(BenchkitJson, RejectsMalformedDocuments) {
-  EXPECT_THROW((void)parse_json(""), JsonParseError);
-  EXPECT_THROW((void)parse_json("{"), JsonParseError);
-  EXPECT_THROW((void)parse_json("{\"a\":}"), JsonParseError);
-  EXPECT_THROW((void)parse_json("[1,]"), JsonParseError);
-  EXPECT_THROW((void)parse_json("{} trailing"), JsonParseError);
-  EXPECT_THROW((void)parse_json("nul"), JsonParseError);
-  EXPECT_THROW((void)parse_json("\"unterminated"), JsonParseError);
+  EXPECT_THROW((void)util::parse_json(""), util::JsonParseError);
+  EXPECT_THROW((void)util::parse_json("{"), util::JsonParseError);
+  EXPECT_THROW((void)util::parse_json("{\"a\":}"), util::JsonParseError);
+  EXPECT_THROW((void)util::parse_json("[1,]"), util::JsonParseError);
+  EXPECT_THROW((void)util::parse_json("{} trailing"), util::JsonParseError);
+  EXPECT_THROW((void)util::parse_json("nul"), util::JsonParseError);
+  EXPECT_THROW((void)util::parse_json("\"unterminated"), util::JsonParseError);
 }
 
 BenchResults sample_results() {
@@ -159,7 +159,7 @@ BenchResults sample_results() {
 TEST(BenchkitResults, JsonRoundTrip) {
   const BenchResults original = sample_results();
   const std::string json = to_json(original);
-  const BenchResults parsed = results_from_json(parse_json(json));
+  const BenchResults parsed = results_from_json(util::parse_json(json));
 
   EXPECT_EQ(parsed.schema_version, 1);
   EXPECT_EQ(parsed.git_sha, "abc123");
@@ -192,11 +192,11 @@ TEST(BenchkitResults, MetricLookupNamespaces) {
 
 TEST(BenchkitResults, ParserRejectsWrongSchemaVersion) {
   EXPECT_THROW(
-      (void)results_from_json(parse_json(R"({"schema_version": 2,
+      (void)results_from_json(util::parse_json(R"({"schema_version": 2,
                                              "scenarios": {}})")),
       std::runtime_error);
   EXPECT_THROW(
-      (void)results_from_json(parse_json(R"({"schema_version": 1})")),
+      (void)results_from_json(util::parse_json(R"({"schema_version": 1})")),
       std::runtime_error);
 }
 
@@ -295,7 +295,8 @@ TEST(BenchkitCompare, MissingMetricFailsLoudly) {
 
 TEST(BenchkitCompare, BaselinesJsonRoundTrip) {
   const Baselines original = sample_baselines();
-  const Baselines parsed = baselines_from_json(parse_json(to_json(original)));
+  const Baselines parsed =
+      baselines_from_json(util::parse_json(to_json(original)));
   EXPECT_EQ(parsed.machine, "baseline-host");
   ASSERT_EQ(parsed.scenarios.size(), 2U);
   const auto& fig3 = parsed.scenarios.at("fig3_dataset1");

@@ -217,35 +217,6 @@ TEST(EvaluatorDifferential, InvalidParentStateFallsBack) {
   expect_states_equal(out_state, oracle_state);
 }
 
-TEST(EvaluatorDifferential, IncrementalDisabledMatchesFullPath) {
-  const Scenario scenario = make_dataset1(14);
-  EvaluatorOptions options;
-  options.incremental = false;  // the EUS_INCREMENTAL=off configuration
-  const Evaluator off(scenario.system, scenario.trace, options);
-  const Evaluator on(scenario.system, scenario.trace);
-  EXPECT_FALSE(off.incremental_on());
-
-  Rng rng(21);
-  const Allocation parent =
-      random_valid_allocation(scenario.system, scenario.trace, rng, 0);
-  EvalState parent_on;
-  EvalState parent_off;
-  expect_bit_identical(on.evaluate(parent, parent_on),
-                       off.evaluate(parent, parent_off));
-
-  std::vector<std::uint32_t> touched;
-  const Allocation child = mutate_genes(parent, scenario.system,
-                                        scenario.trace, rng, 4, 0, touched);
-  EvalState state_on;
-  EvalState state_off;
-  const Evaluation delta_on = on.evaluate_incremental(
-      child, parent, parent_on, touched, state_on);
-  const Evaluation delta_off = off.evaluate_incremental(
-      child, parent, parent_off, touched, state_off);
-  expect_bit_identical(delta_on, delta_off);
-  expect_states_equal(state_on, state_off);
-}
-
 TEST(EvaluatorDifferential, ComparisonSortPathMatchesCountingSort) {
   // Orders outside [0, T) force the comparison-sort fallback; shifting
   // every order by a constant preserves ranks, so objectives must be
@@ -343,36 +314,98 @@ TEST(EvaluatorDifferential, TelemetryCountsHitsAndFallbacks) {
   EXPECT_EQ(fallbacks.value(), 1U);
 }
 
+/// Generation observer holding NSGA-II to the full simulator: every
+/// individual's objectives and EvalState — however the optimizer scored it
+/// (clone, delta or full path) — must bit-equal a fresh validating
+/// Evaluator::evaluate(genome, state) mapped through objectives_of.  Since
+/// selection reads only objectives and RNG draws, this pins every front.
+GenerationObserver delta_oracle(const BiObjectiveProblem& problem,
+                                std::size_t& generations_checked) {
+  return [&problem, &generations_checked](
+             std::size_t generation,
+             const std::vector<Individual>& population) {
+    SCOPED_TRACE("generation " + std::to_string(generation));
+    for (std::size_t k = 0; k < population.size(); ++k) {
+      const Individual& ind = population[k];
+      EvalState oracle_state;
+      const EUPoint oracle = problem.objectives_of(
+          problem.evaluator().evaluate(ind.genome, oracle_state));
+      EXPECT_EQ(ind.objectives.energy, oracle.energy) << "individual " << k;
+      EXPECT_EQ(ind.objectives.utility, oracle.utility) << "individual " << k;
+      expect_states_equal(ind.state, oracle_state);
+    }
+    ++generations_checked;
+  };
+}
+
+Nsga2Config oracle_config(std::size_t threads) {
+  Nsga2Config config;
+  config.population_size = 16;
+  config.threads = threads;
+  config.seed = 123;
+  return config;
+}
+
+/// Runs NSGA-II under the delta oracle and returns its final front; the
+/// delta path must have been taken at least once.
+template <typename Problem>
+std::vector<EUPoint> oracle_checked_front(const Scenario& scenario,
+                                          EvaluatorOptions options,
+                                          std::size_t threads) {
+  MetricsRegistry metrics;
+  options.metrics = &metrics;
+  const Problem problem(scenario.system, scenario.trace, std::move(options));
+  Nsga2 algorithm(problem, oracle_config(threads));
+  std::size_t generations_checked = 0;
+  algorithm.set_observer(delta_oracle(problem, generations_checked));
+  algorithm.initialize({});
+  algorithm.iterate(5);
+  EXPECT_EQ(generations_checked, 5U);
+  EXPECT_GT(metrics.snapshot().counters.at("evaluator.incremental.hits"), 0U);
+  return algorithm.front_points();
+}
+
+/// The oracle over the paper's plain model and over DVFS + dropping + idle
+/// watts together, serial and pooled.
+template <typename Problem>
+void expect_delta_oracle_holds(std::uint64_t scenario_seed) {
+  const Scenario scenario = make_dataset1(scenario_seed);
+  for (const OptionVariant& variant : option_variants(scenario.system)) {
+    if (variant.name != "plain" && variant.name != "all-options") continue;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(variant.name + " threads=" + std::to_string(threads));
+      EXPECT_FALSE(
+          oracle_checked_front<Problem>(scenario, variant.options, threads)
+              .empty());
+    }
+  }
+}
+
+TEST(DeltaOracle, UtilityEnergyMatchesFullSimulationEveryGeneration) {
+  expect_delta_oracle_holds<UtilityEnergyProblem>(19);
+}
+
+TEST(DeltaOracle, MakespanEnergyMatchesFullSimulationEveryGeneration) {
+  expect_delta_oracle_holds<MakespanEnergyProblem>(20);
+}
+
 TEST(EvaluatorDifferential, FrontsInvariantAcrossExecutionModes) {
   // The same seed must yield bit-identical fronts whether evaluation is
-  // interleaved (serial), pooled, or delta-evaluated: the evaluator is a
-  // pure function and none of these paths may perturb it.
+  // interleaved (serial) or pooled: the evaluator is a pure function and
+  // neither path may perturb it.  The reference run is held to the full
+  // simulator every generation by the delta oracle.
   const Scenario scenario = make_dataset1(19);
+  const std::vector<EUPoint> reference =
+      oracle_checked_front<UtilityEnergyProblem>(scenario, {}, 1);
+  ASSERT_FALSE(reference.empty());
 
-  const auto front_for = [&](bool incremental, std::size_t threads) {
-    EvaluatorOptions options;
-    options.incremental = incremental;
-    const UtilityEnergyProblem problem(scenario.system, scenario.trace,
-                                       std::move(options));
-    Nsga2Config config;
-    config.population_size = 16;
-    config.threads = threads;
-    config.seed = 123;
-    Nsga2 algorithm(problem, config);
+  const UtilityEnergyProblem problem(scenario.system, scenario.trace);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Nsga2 algorithm(problem, oracle_config(threads));
     algorithm.initialize({});
     algorithm.iterate(5);
-    return algorithm.front_points();
-  };
-
-  const std::vector<EUPoint> reference = front_for(true, 1);
-  ASSERT_FALSE(reference.empty());
-  for (const bool incremental : {true, false}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      SCOPED_TRACE(std::string("incremental=") +
-                   (incremental ? "on" : "off") +
-                   " threads=" + std::to_string(threads));
-      EXPECT_EQ(front_for(incremental, threads), reference);
-    }
+    EXPECT_EQ(algorithm.front_points(), reference);
   }
 }
 

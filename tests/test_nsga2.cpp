@@ -9,6 +9,7 @@
 #include "pareto/archive.hpp"
 #include "pareto/front.hpp"
 #include "pareto/metrics.hpp"
+#include "telemetry/metrics.hpp"
 #include "tuf/builder.hpp"
 #include "workload/generator.hpp"
 
@@ -89,6 +90,34 @@ TEST(Nsga2, RejectsWrongSizeSeed) {
   Nsga2 ga(fx.problem, small_config());
   EXPECT_THROW(ga.initialize({make_trivial_allocation(3)}),
                std::invalid_argument);
+}
+
+TEST(Nsga2, RejectedWarmStartCountsNoWarmSeeds) {
+  const Fixture fx;
+  MetricsRegistry metrics;
+  Nsga2Config cfg = small_config();
+  cfg.metrics = &metrics;
+  const Counter& warm_seeds = metrics.counter("nsga2.warm_seeds");
+  const Allocation good = min_energy_allocation(fx.system, fx.trace);
+
+  Nsga2 wrong_size(fx.problem, cfg);
+  EXPECT_THROW(wrong_size.initialize_warm({}, {make_trivial_allocation(3)}),
+               std::invalid_argument);
+  EXPECT_EQ(warm_seeds.value(), 0U);
+
+  Allocation invalid = good;
+  invalid.machine[0] = static_cast<int>(fx.system.num_machines());
+  Nsga2 invalid_seed(fx.problem, cfg);
+  EXPECT_THROW(invalid_seed.initialize_warm({}, {good, invalid}),
+               std::invalid_argument);
+  EXPECT_EQ(warm_seeds.value(), 0U);
+
+  // Only the accepted first start counts; the rejected second adds nothing.
+  Nsga2 twice(fx.problem, cfg);
+  twice.initialize_warm({}, {good});
+  EXPECT_EQ(warm_seeds.value(), 1U);
+  EXPECT_THROW(twice.initialize_warm({}, {good}), std::logic_error);
+  EXPECT_EQ(warm_seeds.value(), 1U);
 }
 
 TEST(Nsga2, InitializePopulationSizeAndAnnotation) {

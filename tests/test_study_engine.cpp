@@ -64,23 +64,20 @@ TEST(StudyEngine, ConcurrentMatchesSerialBitIdentical) {
 }
 
 // Offspring scored from their parents' cached per-machine state (the delta
-// path) must give the fronts of a serial run that simulates every genome in
-// full, at 1 (engine without a pool), 2 and 4 threads.
+// path) must give the fronts of the serial harness at 1 (engine without a
+// pool), 2 and 4 threads.  The serial delta path itself is held to the full
+// simulator every generation by the DeltaOracle suite.
 TEST(StudyEngine, CachedFrontsBitIdenticalAcrossThreadCounts) {
   const Fixture fx;
   const auto specs = paper_population_specs();
   const std::vector<std::size_t> checkpoints = {2, 5, 9};
 
-  EvaluatorOptions full_only;
-  full_only.incremental = false;
-  const UtilityEnergyProblem full_problem(fx.system, fx.trace, full_only);
   const StudyResult baseline =
-      run_seeding_study(full_problem, tiny_config(), checkpoints, specs);
+      run_seeding_study(fx.problem, tiny_config(), checkpoints, specs);
 
   for (const std::size_t threads : {1U, 2U, 4U}) {
     MetricsRegistry metrics;
     EvaluatorOptions delta;
-    delta.incremental = true;
     delta.metrics = &metrics;
     const UtilityEnergyProblem delta_problem(fx.system, fx.trace, delta);
     StudyEngineConfig config;

@@ -22,11 +22,11 @@
 #include <vector>
 
 #include "benchkit/compare.hpp"
-#include "benchkit/json_value.hpp"
 #include "benchkit/registry.hpp"
 #include "benchkit/results.hpp"
 #include "benchkit/runner.hpp"
 #include "util/env.hpp"
+#include "util/json_value.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
         opts.compare_path.value_or("bench/baselines.json");
     Baselines existing;
     try {
-      existing = baselines_from_json(parse_json_file(path));
+      existing = baselines_from_json(util::parse_json_file(path));
     } catch (const std::exception&) {
       // First generation: start from an empty set.
     }
@@ -294,7 +294,8 @@ int main(int argc, char** argv) {
   } else if (opts.compare_path) {
     Baselines baselines;
     try {
-      baselines = baselines_from_json(parse_json_file(*opts.compare_path));
+      baselines =
+          baselines_from_json(util::parse_json_file(*opts.compare_path));
     } catch (const std::exception& e) {
       std::cerr << "eus_bench: cannot load baselines: " << e.what() << '\n';
       return kExitUsage;
