@@ -1,6 +1,8 @@
 #include "sched/evaluator.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -394,8 +396,7 @@ Evaluation Evaluator::evaluate_incremental(
   }
 
   // Resimulation cost estimate (parent's per-machine populations are off
-  // by at most |touched|): past half the trace a full pass is cheaper —
-  // it pays one counting sort instead of per-machine comparison sorts.
+  // by at most |touched|): past half the trace a full pass is cheaper.
   std::size_t estimated = touched.size();
   for (const std::uint32_t m : dirty_list) {
     estimated += parent_state.machines[m].count;
@@ -405,45 +406,61 @@ Evaluation Evaluator::evaluate_incremental(
     return run(child, out_state, noop);  // touched already validated above
   }
 
-  // Bucket the dirty machines' tasks (child mapping) per machine in index
-  // order, then sort each bucket by (order, index) — exactly the stable
-  // sequence the full simulator's counting sort produces for that machine.
-  // Machines are independent, so no cross-machine ordering is needed; the
-  // per-bucket sorts replace a much costlier global three-key sort.
-  thread_local std::vector<std::vector<std::uint32_t>> buckets;
-  buckets.resize(num_machines_);
-  for (const std::uint32_t m : dirty_list) buckets[m].clear();
+  // Gather the dirty machines' tasks (child mapping) in index order without
+  // a data-dependent branch: every index is written, and the output only
+  // advances past it when its machine is dirty.
+  thread_local std::vector<std::uint32_t> gathered;
+  thread_local std::vector<std::uint32_t> sorted;
+  gathered.resize(num_tasks_);
+  sorted.resize(num_tasks_);
+  std::size_t n = 0;
   for (std::size_t i = 0; i < num_tasks_; ++i) {
-    const auto m = static_cast<std::size_t>(child.machine[i]);
-    if (dirty_flag[m] != 0) buckets[m].push_back(static_cast<std::uint32_t>(i));
+    gathered[n] = static_cast<std::uint32_t>(i);
+    n += dirty_flag[static_cast<std::size_t>(child.machine[i])];
   }
 
+  // Stable LSD radix sort by order on 8-bit digits, one histogram pass for
+  // all digits with the [0, T) range check fused in.  Stability over the
+  // index-ordered input breaks equal-order ties by index, exactly as the
+  // full path's counting sort does; out-of-range orders take a stable
+  // comparison sort, as the full path leaves its counting sort for them.
+  const auto passes = static_cast<std::size_t>(
+      (std::bit_width(static_cast<std::uint32_t>(num_tasks_ - 1)) + 7) / 8);
+  std::array<std::array<std::uint32_t, 256>, 4> offsets{};
+  bool orders_in_range = true;
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto o = static_cast<std::uint32_t>(child.order[gathered[k]]);
+    orders_in_range &= o < num_tasks_;
+    for (std::size_t p = 0; p < passes; ++p) {
+      ++offsets[p][(o >> (8 * p)) & 0xFFU];
+    }
+  }
+  std::uint32_t* seq = gathered.data();
+  std::uint32_t* dst = sorted.data();
+  for (std::size_t p = 0; orders_in_range && p < passes; ++p) {
+    std::exclusive_scan(offsets[p].begin(), offsets[p].end(),
+                        offsets[p].begin(), std::uint32_t{0});
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto o = static_cast<std::uint32_t>(child.order[seq[k]]);
+      dst[offsets[p][(o >> (8 * p)) & 0xFFU]++] = seq[k];
+    }
+    std::swap(seq, dst);
+  }
+  if (!orders_in_range) {
+    std::stable_sort(seq, seq + n, [&](std::uint32_t a, std::uint32_t b) {
+      return child.order[a] < child.order[b];
+    });
+  }
+
+  // One replay: machines interleave, but each dirty partial still
+  // accumulates its own tasks in execution order.
   out_state = parent_state;
+  for (const std::uint32_t m : dirty_list) out_state.machines[m] = {};
   const bool use_dvfs = options_.dvfs.has_value() && !child.pstate.empty();
-  // Sort each bucket by (order, index) on packed 64-bit keys — one
-  // sequential gather, then a comparator-free sort — rather than a lambda
-  // re-reading order[] per comparison.  XORing the sign bit maps signed
-  // order comparison onto the unsigned key compare; the low word breaks
-  // ties by index, so the sequence is exactly the one the full
-  // simulator's stable counting sort produces for that machine.
-  thread_local std::vector<std::uint64_t> keys;
-  for (const std::uint32_t m : dirty_list) {
-    const std::vector<std::uint32_t>& bucket = buckets[m];
-    keys.clear();
-    keys.reserve(bucket.size());
-    for (const std::uint32_t i : bucket) {
-      keys.push_back(
-          (static_cast<std::uint64_t>(
-               static_cast<std::uint32_t>(child.order[i]) ^ 0x80000000U)
-           << 32U) |
-          i);
-    }
-    std::sort(keys.begin(), keys.end());
-    MachinePartial& mp = out_state.machines[m];
-    mp = MachinePartial{};
-    for (const std::uint64_t key : keys) {
-      step_task(static_cast<std::uint32_t>(key), mp, child, use_dvfs, noop);
-    }
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t i = seq[k];
+    step_task(i, out_state.machines[static_cast<std::size_t>(child.machine[i])],
+              child, use_dvfs, noop);
   }
 
   const Evaluation total = reduce(out_state);

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 
 #include "core/nsga2.hpp"
 #include "core/problem.hpp"
+#include "data/historical.hpp"
 #include "heuristics/seeds.hpp"
 #include "sched/dvfs.hpp"
 #include "sched/evaluator.hpp"
@@ -312,6 +314,99 @@ TEST(EvaluatorDifferential, TelemetryCountsHitsAndFallbacks) {
   ev.evaluate_incremental(child, parent, empty_state, touched, out);
   EXPECT_EQ(hits.value(), 1U);
   EXPECT_EQ(fallbacks.value(), 1U);
+}
+
+using OrderDraw = std::function<int(Rng&)>;
+
+/// Holds the delta path to the full simulator, validating and trusted, on
+/// every Evaluation field and MachinePartial: `rounds` random parent/child
+/// pairs of 1..max_genes touched genes per option variant.  The delta path
+/// must hit at least once per variant.
+/// `parent_order` redraws every parent order gene and `child_order` every
+/// touched gene's child order (null keeps the [0, T) draws).
+void expect_delta_oracle_on(const Scenario& scenario, int rounds,
+                            std::size_t max_genes,
+                            const OrderDraw& parent_order = {},
+                            const OrderDraw& child_order = {}) {
+  for (const OptionVariant& variant : option_variants(scenario.system)) {
+    SCOPED_TRACE(variant.name);
+    MetricsRegistry metrics;
+    EvaluatorOptions options = variant.options;
+    options.metrics = &metrics;
+    const Evaluator ev(scenario.system, scenario.trace, options);
+    const std::size_t num_pstates = pstates_of(options);
+    Rng rng(42);
+    for (int round = 0; round < rounds; ++round) {
+      Allocation parent = random_valid_allocation(
+          scenario.system, scenario.trace, rng, num_pstates);
+      if (parent_order) {
+        for (int& o : parent.order) o = parent_order(rng);
+      }
+      EvalState parent_state;
+      ev.evaluate(parent, parent_state);
+
+      std::vector<std::uint32_t> touched;
+      Allocation child =
+          mutate_genes(parent, scenario.system, scenario.trace, rng,
+                       1 + rng.below(max_genes), num_pstates, touched);
+      if (child_order) {
+        for (const std::uint32_t g : touched) child.order[g] = child_order(rng);
+      }
+      EvalState oracle_state;
+      const Evaluation oracle = ev.evaluate(child, oracle_state);
+      // trusted_child rides the same structural-validity contract.
+      for (const bool trusted : {false, true}) {
+        SCOPED_TRACE(trusted ? "trusted" : "validated");
+        EvalState delta_state;
+        expect_bit_identical(
+            ev.evaluate_incremental(child, parent, parent_state, touched,
+                                    delta_state, trusted),
+            oracle);
+        expect_states_equal(delta_state, oracle_state);
+      }
+    }
+    EXPECT_GT(metrics.counter("evaluator.incremental.hits").value(), 0U);
+  }
+}
+
+TEST(EvaluatorDifferential, DeltaMatchesFullOnDataset3TwoRadixDigits) {
+  const Scenario scenario = make_dataset3(21);
+  ASSERT_EQ(scenario.trace.size(), 4000U);
+  expect_delta_oracle_on(scenario, 8, 4);
+}
+
+TEST(EvaluatorDifferential, DeltaMatchesFullBeyondTwoRadixDigits) {
+  // T > 65536 orders need a third 8-bit digit.
+  const Scenario scenario = make_custom_scenario(
+      "three-digits", historical_system(), 70000, 3600.0, 22);
+  expect_delta_oracle_on(scenario, 3, 2);
+}
+
+TEST(EvaluatorDifferential, DeltaOrdersOutsideRangeTakeComparisonSort) {
+  // A touched order below 0 or at/after T sends the dirty machines' tasks
+  // through the comparison sort, the full path's out-of-range branch.
+  const Scenario scenario = make_dataset3(23);
+  const std::size_t n = scenario.trace.size();
+  expect_delta_oracle_on(scenario, 8, 4, {}, [n](Rng& rng) {
+    const auto offset = static_cast<int>(rng.below(n));
+    return rng.chance(0.5) ? -1 - offset : static_cast<int>(n) + offset;
+  });
+}
+
+TEST(EvaluatorDifferential, DeltaBreaksEqualOrdersByIndex) {
+  // Five distinct orders over 4000 tasks: almost every task ties, so the
+  // sequence rests on the index tie-break.
+  const Scenario scenario = make_dataset3(24);
+  const std::vector<std::vector<int>> order_sets = {
+      {0, 1, 255, 256, 3999},    // spread across both radix digits
+      {-1, 0, 256, 3999, 4000},  // out of range: the comparison sort
+  };
+  for (const std::vector<int>& orders : order_sets) {
+    const OrderDraw few_orders = [&orders](Rng& rng) {
+      return orders[rng.below(orders.size())];
+    };
+    expect_delta_oracle_on(scenario, 8, 4, few_orders, few_orders);
+  }
 }
 
 /// Generation observer holding NSGA-II to the full simulator: every
