@@ -50,17 +50,16 @@ Nsga2::Nsga2(const BiObjectiveProblem& problem, Nsga2Config config)
 Nsga2::~Nsga2() = default;
 
 void Nsga2::evaluate_individual(std::vector<Individual>& individuals,
-                                std::size_t idx, const OffspringHint* hint,
-                                bool trusted_genome) {
+                                std::size_t idx, const OffspringHint* hint) {
   Individual& ind = individuals[idx];
   const Evaluator& ev = problem_->evaluator();
   // Cheapest applicable path: clone of the parent (reuse its objectives
   // and partials) > delta re-simulation of the dirty machines > full
   // simulation.  All three produce bit-identical objectives; whether a
-  // delta pays off is the evaluator's call.
+  // delta pays off is the evaluator's call.  Every genome here is
+  // structurally valid — user seeds are validated in initialize(), the rest
+  // are built by the operators — so per-gene validation is skipped.
   if (hint != nullptr && !hint->full) {
-    // Operator-built child of an evaluated parent (which always carries a
-    // state): structurally valid, so per-gene validation is skipped.
     const Individual& parent = individuals[hint->parent];
     if (hint->touched.empty()) {
       ind.state = parent.state;
@@ -72,21 +71,18 @@ void Nsga2::evaluate_individual(std::vector<Individual>& individuals,
     }
     return;
   }
-  ind.objectives = problem_->objectives_of(
-      trusted_genome ? ev.evaluate_trusted(ind.genome, ind.state)
-                     : ev.evaluate(ind.genome, ind.state));
+  ind.objectives =
+      problem_->objectives_of(ev.evaluate_trusted(ind.genome, ind.state));
 }
 
 void Nsga2::evaluate_all(std::vector<Individual>& individuals,
                          std::size_t begin,
-                         const std::vector<OffspringHint>* hints,
-                         bool trusted_genomes) {
+                         const std::vector<OffspringHint>* hints) {
   const ScopedTimer timed(timer_evaluation_);
   const std::size_t count = individuals.size() - begin;
   const auto eval_one = [&](std::size_t k) {
     evaluate_individual(individuals, begin + k,
-                        hints != nullptr ? &(*hints)[k] : nullptr,
-                        trusted_genomes);
+                        hints != nullptr ? &(*hints)[k] : nullptr);
   };
   if (eval_pool_ != nullptr) {
     eval_pool_->parallel_for(count, eval_one);
@@ -95,17 +91,6 @@ void Nsga2::evaluate_all(std::vector<Individual>& individuals,
   }
   evaluations_ += count;
   if (metric_evaluations_ != nullptr) metric_evaluations_->add(count);
-}
-
-bool Nsga2::inline_evaluation() const noexcept {
-  // With no pool (or a single-worker pool, which runs parallel_for inline)
-  // evaluation is serial either way, so each fresh genome can be evaluated
-  // the moment it is built — while it is still cache-hot from construction.
-  // A population of genomes built first and evaluated afterwards has long
-  // been evicted by the time the evaluator reads it back.  Evaluation is a
-  // pure function and draws no random numbers, so interleaving changes no
-  // result bits.
-  return eval_pool_ == nullptr || eval_pool_->size() == 1;
 }
 
 void Nsga2::initialize(const std::vector<Allocation>& seeds) {
@@ -117,13 +102,6 @@ void Nsga2::initialize(const std::vector<Allocation>& seeds) {
 
   population_.clear();
   population_.reserve(config_.population_size);
-  const bool interleave = inline_evaluation();
-  const auto eval_fresh = [&]() {
-    if (!interleave) return;
-    const ScopedTimer timed(timer_evaluation_);
-    evaluate_individual(population_, population_.size() - 1, nullptr,
-                        /*trusted_genome=*/true);
-  };
   for (const Allocation& seed : seeds) {
     if (seed.size() != genome ||
         seed.order.size() != genome) {
@@ -132,25 +110,15 @@ void Nsga2::initialize(const std::vector<Allocation>& seeds) {
     // User-supplied genomes get their one structural validation here;
     // random fills below are valid by construction (drawn from eligible
     // machines and in-range p-states), so the initial evaluation sweep
-    // can skip the per-gene pass for the whole population.
+    // skips the per-gene pass for the whole population.
     problem_->evaluator().validate(seed);
     population_.push_back({seed, {}, 0, 0.0, {}});
-    eval_fresh();
   }
   while (population_.size() < config_.population_size) {
     population_.push_back(
         {random_allocation(*problem_, rng_), {}, 0, 0.0, {}});
-    eval_fresh();
   }
-
-  if (interleave) {
-    evaluations_ += population_.size();
-    if (metric_evaluations_ != nullptr) {
-      metric_evaluations_->add(population_.size());
-    }
-  } else {
-    evaluate_all(population_, 0, nullptr, /*trusted_genomes=*/true);
-  }
+  evaluate_all(population_, 0, nullptr);
 
   // Annotate the initial population so front() is meaningful pre-iterate.
   annotate_and_select(population_);
@@ -250,145 +218,95 @@ void Nsga2::iterate(std::size_t generations) {
       hint.touched.clear();
     }
 
-    const bool interleave = inline_evaluation();
     {
+      const ScopedTimer timed(timer_variation_);
       thread_local std::vector<std::uint32_t> mutated_a;
       thread_local std::vector<std::uint32_t> mutated_b;
-      thread_local std::vector<std::uint32_t> scratch_touched;
       for (std::size_t pair = 0; pair < n / 2; ++pair) {
-        {
-          const ScopedTimer timed(timer_variation_);
-          const std::size_t i = select_parent();
-          std::size_t j = select_parent();
-          while (n > 1 && j == i) j = select_parent();
+        const std::size_t i = select_parent();
+        std::size_t j = select_parent();
+        while (n > 1 && j == i) j = select_parent();
 
-          Allocation child_a = meta[i].genome;
-          Allocation child_b = meta[j].genome;
-          CrossoverSegment segment;
-          mutated_a.clear();
-          mutated_b.clear();
-          crossover(child_a, child_b, rng_, &segment);
-          if (rng_.chance(config_.mutation_probability)) {
-            mutate(child_a, *problem_, rng_, &mutated_a);
-          }
-          if (rng_.chance(config_.mutation_probability)) {
-            mutate(child_b, *problem_, rng_, &mutated_b);
-          }
-          if (config_.repair_order_permutation) {
-            repair_order_permutation(child_a);
-            repair_order_permutation(child_b);
-          } else {
-            // The true delta vs the parent each child was cloned from:
-            // crossover only changes genes where the parents disagreed, so
-            // filter the segment (and any mutated genes) down to actual
-            // differences before handing them to the delta-evaluator.  A
-            // child is also a valid delta off the *other* parent (which
-            // donated the segment): its diff there is the segment's
-            // complement plus mutations inside the segment.
-            //
-            // Diffing both parents for every child doubles the genome scans
-            // for a marginal payoff, so only the side with the smaller
-            // candidate region is scanned up front; the other side is tried
-            // only when the first would make the delta-evaluator bail to a
-            // full simulation anyway (touched > T/2) — exactly the
-            // converged-parents case where the opposite diff can be tiny.
-            const auto cloned_side = [&](const Allocation& child,
-                                         const Allocation& cloned,
-                                         const std::vector<std::uint32_t>&
-                                             mutated,
-                                         std::vector<std::uint32_t>& out) {
-              collect_touched(child, cloned, segment.lo, segment.hi, out);
+        Allocation child_a = meta[i].genome;
+        Allocation child_b = meta[j].genome;
+        CrossoverSegment segment;
+        mutated_a.clear();
+        mutated_b.clear();
+        crossover(child_a, child_b, rng_, &segment);
+        if (rng_.chance(config_.mutation_probability)) {
+          mutate(child_a, *problem_, rng_, &mutated_a);
+        }
+        if (rng_.chance(config_.mutation_probability)) {
+          mutate(child_b, *problem_, rng_, &mutated_b);
+        }
+        if (config_.repair_order_permutation) {
+          repair_order_permutation(child_a);
+          repair_order_permutation(child_b);
+        } else {
+          // The true delta against one parent: crossover only changes genes
+          // where the parents disagreed, so the candidate region is filtered
+          // down to actual differences before it reaches the
+          // delta-evaluator.  A child diffs against whichever parent leaves
+          // the smaller region to scan: the parent it was cloned from (the
+          // segment plus mutated genes outside it) when the segment is at
+          // most half the genome, otherwise the parent that donated the
+          // segment (the segment's complement plus mutated genes inside it).
+          const auto fill_hint = [&](OffspringHint& hint,
+                                     const Allocation& child,
+                                     const Allocation& cloned,
+                                     std::size_t cloned_index,
+                                     const Allocation& donor,
+                                     std::size_t donor_index,
+                                     const std::vector<std::uint32_t>&
+                                         mutated) {
+            hint.parent = static_cast<std::uint32_t>(cloned_index);
+            hint.full = false;
+            if (!segment.swapped) {
               for (const std::uint32_t gene : mutated) {
-                if (gene >= segment.lo && gene <= segment.hi) {
-                  continue;  // already covered by the segment scan
-                }
-                collect_touched(child, cloned, gene, gene, out);
+                collect_touched(child, cloned, gene, gene, hint.touched);
               }
+              return;
+            }
+            const std::size_t tasks = child.machine.size();
+            const auto in_segment = [&](std::uint32_t gene) {
+              return gene >= segment.lo && gene <= segment.hi;
             };
-            const auto donor_side = [&](const Allocation& child,
-                                        const Allocation& donor,
-                                        const std::vector<std::uint32_t>&
-                                            mutated,
-                                        std::vector<std::uint32_t>& out) {
-              if (segment.lo > 0) {
-                collect_touched(child, donor, 0, segment.lo - 1, out);
-              }
-              if (segment.hi + 1 < child.machine.size()) {
-                collect_touched(child, donor, segment.hi + 1,
-                                child.machine.size() - 1, out);
-              }
+            if ((segment.hi - segment.lo + 1) * 2 <= tasks) {
+              collect_touched(child, cloned, segment.lo, segment.hi,
+                              hint.touched);
               for (const std::uint32_t gene : mutated) {
-                if (gene >= segment.lo && gene <= segment.hi) {
-                  collect_touched(child, donor, gene, gene, out);
-                }
-              }
-            };
-            const auto fill_hint = [&](OffspringHint& hint,
-                                       const Allocation& child,
-                                       const Allocation& cloned,
-                                       std::size_t cloned_index,
-                                       const Allocation& donor,
-                                       std::size_t donor_index,
-                                       const std::vector<std::uint32_t>&
-                                           mutated) {
-              hint.parent = static_cast<std::uint32_t>(cloned_index);
-              hint.full = false;
-              if (!segment.swapped) {
-                for (const std::uint32_t gene : mutated) {
+                if (!in_segment(gene)) {
                   collect_touched(child, cloned, gene, gene, hint.touched);
                 }
-                return;
               }
-              const std::size_t tasks = child.machine.size();
-              const std::size_t len = segment.hi - segment.lo + 1;
-              const bool cloned_first = len * 2 <= tasks;
-              if (cloned_first) {
-                cloned_side(child, cloned, mutated, hint.touched);
-              } else {
-                hint.parent = static_cast<std::uint32_t>(donor_index);
-                donor_side(child, donor, mutated, hint.touched);
+              return;
+            }
+            hint.parent = static_cast<std::uint32_t>(donor_index);
+            if (segment.lo > 0) {
+              collect_touched(child, donor, 0, segment.lo - 1, hint.touched);
+            }
+            if (segment.hi + 1 < tasks) {
+              collect_touched(child, donor, segment.hi + 1, tasks - 1,
+                              hint.touched);
+            }
+            for (const std::uint32_t gene : mutated) {
+              if (in_segment(gene)) {
+                collect_touched(child, donor, gene, gene, hint.touched);
               }
-              if (hint.touched.size() * 2 <= tasks) return;
-              scratch_touched.clear();
-              if (cloned_first) {
-                donor_side(child, donor, mutated, scratch_touched);
-              } else {
-                cloned_side(child, cloned, mutated, scratch_touched);
-              }
-              if (scratch_touched.size() < hint.touched.size()) {
-                hint.parent = static_cast<std::uint32_t>(
-                    cloned_first ? donor_index : cloned_index);
-                hint.touched.swap(scratch_touched);
-              }
-            };
-            fill_hint(hints_[2 * pair], child_a, meta[i].genome, i,
-                      meta[j].genome, j, mutated_a);
-            fill_hint(hints_[2 * pair + 1], child_b, meta[j].genome, j,
-                      meta[i].genome, i, mutated_b);
-          }
-          meta.push_back({std::move(child_a), {}, 0, 0.0, {}});
-          meta.push_back({std::move(child_b), {}, 0, 0.0, {}});
+            }
+          };
+          fill_hint(hints_[2 * pair], child_a, meta[i].genome, i,
+                    meta[j].genome, j, mutated_a);
+          fill_hint(hints_[2 * pair + 1], child_b, meta[j].genome, j,
+                    meta[i].genome, i, mutated_b);
         }
-        if (interleave) {
-          // Serial evaluation: take each child while its genome is still
-          // cache-hot from the operators (see inline_evaluation()).
-          const ScopedTimer eval_timed(timer_evaluation_);
-          evaluate_individual(meta, meta.size() - 2, &hints_[2 * pair],
-                              false);
-          evaluate_individual(meta, meta.size() - 1, &hints_[2 * pair + 1],
-                              false);
-        }
+        meta.push_back({std::move(child_a), {}, 0, 0.0, {}});
+        meta.push_back({std::move(child_b), {}, 0, 0.0, {}});
       }
     }
 
-    // Only the fresh offspring need evaluating (parents carry theirs);
-    // under interleaved evaluation they already were, pair by pair.
-    if (interleave) {
-      evaluations_ += n;
-      if (metric_evaluations_ != nullptr) metric_evaluations_->add(n);
-    } else {
-      evaluate_all(meta, n, &hints_);
-    }
+    // Only the fresh offspring need evaluating (parents carry theirs).
+    evaluate_all(meta, n, &hints_);
 
     // Steps 6-11: elitist environmental selection.
     {

@@ -10,10 +10,11 @@
 //      nondominated-sorted; whole ranks fill the next parent population and
 //      the cut rank is truncated by crowding distance (elitism for free).
 //
-// Population evaluation is embarrassingly parallel and optionally runs on a
-// thread pool.  Everything is deterministic for a fixed seed and thread
-// count (offspring are generated serially; only fitness evaluation — a
-// pure function — is parallel).
+// Each generation builds all N offspring first and then evaluates them as
+// one batch, on a thread pool when there is one.  Everything is
+// deterministic for a fixed seed at any thread count (offspring are
+// generated serially; only fitness evaluation — a pure function — is
+// parallel).
 
 #include <cstdint>
 #include <functional>
@@ -54,7 +55,7 @@ struct Nsga2Config {
   /// then truncated in ascending-energy order instead.
   bool use_crowding = true;
   /// Worker threads for fitness evaluation; 0 = hardware concurrency,
-  /// 1 = evaluate inline (no pool).  Ignored when `shared_pool` is set.
+  /// 1 = evaluate serially (no pool).  Ignored when `shared_pool` is set.
   std::size_t threads = 1;
   /// Externally owned pool shared across algorithm instances (e.g. the
   /// StudyEngine's, which also runs whole populations on it — the pool's
@@ -146,9 +147,10 @@ class Nsga2 {
   [[nodiscard]] const Nsga2Config& config() const noexcept { return config_; }
 
  private:
-  /// Delta-evaluation lineage of one offspring: which parent it was cloned
-  /// from and which genes the operators actually changed (post-filtering —
-  /// segment swaps between similar parents copy mostly-equal genes).
+  /// Delta-evaluation lineage of one offspring: the one parent it is
+  /// diffed against and the genes where it differs from that parent
+  /// (post-filtering — segment swaps between similar parents copy
+  /// mostly-equal genes).
   /// `full` forces a from-scratch simulation (order repair rewrites every
   /// order gene, and zero-size populations have nothing to track).
   struct OffspringHint {
@@ -157,30 +159,21 @@ class Nsga2 {
     std::vector<std::uint32_t> touched;
   };
 
-  /// Evaluates individuals[begin..] in parallel.  With `trusted_genomes`
-  /// the genomes are known structurally valid (operator-built, or user
-  /// seeds validated up front in initialize()), so hint-less evaluations
-  /// skip the per-gene validation pass.
+  /// Evaluates individuals[begin..] as one batch: on the pool when there
+  /// is one, in a plain loop when there is not.
   void evaluate_all(std::vector<Individual>& individuals, std::size_t begin,
-                    const std::vector<OffspringHint>* hints,
-                    bool trusted_genomes = false);
+                    const std::vector<OffspringHint>* hints);
   /// Evaluates individuals[idx] in place (clone → delta → full, whichever
-  /// applies; see the definition).  The unit evaluate_all() fans
-  /// out, and the one inline_evaluation() calls per fresh genome.
+  /// applies; see the definition).  The unit evaluate_all() fans out.
   void evaluate_individual(std::vector<Individual>& individuals,
-                           std::size_t idx, const OffspringHint* hint,
-                           bool trusted_genome);
-  /// Whether evaluation runs serially anyway (no pool, or a single-worker
-  /// pool) — in which case each fresh genome is evaluated right after the
-  /// operators build it, while it is still cache-hot.
-  [[nodiscard]] bool inline_evaluation() const noexcept;
+                           std::size_t idx, const OffspringHint* hint);
   void annotate_and_select(std::vector<Individual>& meta);
 
   const BiObjectiveProblem* problem_;
   Nsga2Config config_;
   Rng rng_;
   std::unique_ptr<ThreadPool> owned_pool_;  ///< null when shared or serial
-  ThreadPool* eval_pool_ = nullptr;         ///< null when evaluating inline
+  ThreadPool* eval_pool_ = nullptr;         ///< null when evaluating serially
   /// Metric handles, resolved once at construction (null when disabled).
   Counter* metric_evaluations_ = nullptr;
   Counter* metric_generations_ = nullptr;

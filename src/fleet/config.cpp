@@ -78,12 +78,11 @@ BackendConfig parse_backend(const JsonValue& entry) {
          "127.0.0.1 or localhost)");
   }
   const JsonValue* port = entry.get("port");
-  if (port == nullptr || !port->is_number() ||
-      port->number != std::floor(port->number) || port->number < 1.0 ||
-      port->number > 65535.0) {
+  const auto port_n = port != nullptr ? port->as_uint() : std::nullopt;
+  if (!port_n || *port_n < 1 || *port_n > 65535) {
     fail("backend '" + backend.name + "': port must be an integer 1..65535");
   }
-  backend.port = static_cast<std::uint16_t>(port->number);
+  backend.port = static_cast<std::uint16_t>(*port_n);
   if (const JsonValue* caps = entry.get("capabilities"); caps != nullptr) {
     if (!caps->is_array()) {
       fail("backend '" + backend.name + "': capabilities must be an array");
@@ -102,12 +101,12 @@ BackendConfig parse_backend(const JsonValue& entry) {
                      backend.name);
   backend.watts = positive_field(entry, "watts", backend.watts, backend.name);
   if (const JsonValue* m = entry.get("max_in_flight"); m != nullptr) {
-    if (!m->is_number() || m->number != std::floor(m->number) ||
-        m->number < 1.0) {
+    const auto n = m->as_uint();
+    if (!n || *n < 1) {
       fail("backend '" + backend.name +
            "': max_in_flight must be an integer >= 1");
     }
-    backend.max_in_flight = static_cast<std::size_t>(m->number);
+    backend.max_in_flight = *n;
   }
   if (const JsonValue* e = entry.get("enabled"); e != nullptr) {
     if (e->kind != JsonValue::Kind::kBool) {

@@ -324,24 +324,13 @@ Evaluation Evaluator::evaluate_incremental(
     const EvalState& parent_state, std::span<const std::uint32_t> touched,
     EvalState& out_state, bool trusted_child) const {
   const auto noop = [](std::uint32_t, const TaskOutcome&) {};
-  // Fallback flavors: a full validate() when the shapes diverged (nothing
-  // about the allocation can be trusted), or a touched-genes-only check
-  // when the delta is merely too large — the untouched remainder is
-  // byte-identical to the already-validated parent, so re-walking all T
-  // genes would be pure overhead.
-  const auto validate_touched = [&]() {
-    for (const std::uint32_t g : touched) {
-      if (g >= num_tasks_) {
-        throw std::invalid_argument("touched gene index out of range");
-      }
-      if (!trusted_child) validate_gene(child, g);
-    }
-  };
-  const auto count_fallback = [&]() {
+  // Every fallback counts itself and simulates the child in full.  Only a
+  // shape mismatch or a parent breaking its own contract re-validates the
+  // whole child; otherwise the touched genes were validated while marking
+  // and the untouched remainder is byte-identical to the validated parent.
+  const auto full_fallback = [&](bool validate_child) {
     if (metric_inc_fallbacks_ != nullptr) metric_inc_fallbacks_->add(1);
-  };
-  const auto full_fallback = [&]() {
-    validate(child);
+    if (validate_child) validate(child);
     return run(child, out_state, noop);
   };
 
@@ -350,22 +339,10 @@ Evaluation Evaluator::evaluate_incremental(
       child.order.size() != num_tasks_ ||
       child.machine.size() != parent.machine.size() ||
       child.order.size() != parent.order.size() ||
-      child.pstate.size() != parent.pstate.size()) {
-    count_fallback();
-    return full_fallback();
-  }
-  if (!child.pstate.empty() &&
-      (child.pstate.size() != num_tasks_ || !options_.dvfs)) {
-    count_fallback();
-    return full_fallback();
-  }
-
-  // A delta touching over half the trace can't win even before counting
-  // the dirty machines' bystander tasks — bail before doing any marking.
-  if (touched.size() * 2 > num_tasks_) {
-    count_fallback();
-    validate_touched();
-    return run(child, out_state, noop);
+      child.pstate.size() != parent.pstate.size() ||
+      (!child.pstate.empty() &&
+       (child.pstate.size() != num_tasks_ || !options_.dvfs))) {
+    return full_fallback(/*validate_child=*/true);
   }
 
   // Dirty machines: every machine that gained, lost, re-ordered, or
@@ -388,22 +365,22 @@ Evaluation Evaluator::evaluate_incremental(
     if (!trusted_child) validate_gene(child, g);
     const int pm = parent.machine[g];
     if (pm < 0 || static_cast<std::size_t>(pm) >= num_machines_) {
-      count_fallback();
-      return full_fallback();  // parent violates its own contract
+      return full_fallback(/*validate_child=*/true);  // parent breaks contract
     }
     mark(static_cast<std::uint32_t>(child.machine[g]));
     mark(static_cast<std::uint32_t>(pm));
   }
 
   // Resimulation cost estimate (parent's per-machine populations are off
-  // by at most |touched|): past half the trace a full pass is cheaper.
+  // by at most |touched|): past half the trace a full pass is cheaper.  It
+  // is at least |touched|, so a delta touching over half the trace always
+  // lands here.
   std::size_t estimated = touched.size();
   for (const std::uint32_t m : dirty_list) {
     estimated += parent_state.machines[m].count;
   }
   if (estimated * 2 > num_tasks_) {
-    count_fallback();
-    return run(child, out_state, noop);  // touched already validated above
+    return full_fallback(/*validate_child=*/false);
   }
 
   // Gather the dirty machines' tasks (child mapping) in index order without

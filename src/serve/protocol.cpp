@@ -31,11 +31,9 @@ std::size_t size_field(const JsonValue& obj, std::string_view key,
                        std::size_t fallback) {
   const JsonValue* v = obj.get(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number() || v->number < 0.0 ||
-      v->number != std::floor(v->number)) {
-    fail(std::string(key) + " must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(v->number);
+  const auto n = v->as_uint();
+  if (!n) fail(std::string(key) + " must be a non-negative integer");
+  return *n;
 }
 
 std::vector<std::vector<double>> matrix_field(const JsonValue& obj,
@@ -79,11 +77,9 @@ ScenarioSpec parse_scenario(const JsonValue& doc, std::string_view key) {
   ScenarioSpec spec;
   spec.name = s->string_or("name", "");
   if (const JsonValue* seed = s->get("seed"); seed != nullptr) {
-    if (!seed->is_number() || seed->number < 0.0 ||
-        seed->number != std::floor(seed->number)) {
-      fail("scenario.seed must be a non-negative integer");
-    }
-    spec.seed = static_cast<std::uint64_t>(seed->number);
+    const auto n = seed->as_uint();
+    if (!n) fail("scenario.seed must be a non-negative integer");
+    spec.seed = *n;
     spec.seed_set = true;
   }
   if (spec.name == "dataset1" || spec.name == "dataset2" ||
@@ -113,11 +109,11 @@ ScenarioSpec parse_scenario(const JsonValue& doc, std::string_view key) {
         fail("scenario.machine_counts must have one entry per machine type");
       }
       for (const JsonValue& c : counts->array) {
-        if (!c.is_number() || c.number < 1.0 ||
-            c.number != std::floor(c.number)) {
+        const auto n = c.as_uint();
+        if (!n || *n < 1) {
           fail("scenario.machine_counts entries must be integers >= 1");
         }
-        spec.machine_counts.push_back(static_cast<std::size_t>(c.number));
+        spec.machine_counts.push_back(*n);
       }
     }
     spec.tasks = size_field(*s, "tasks", spec.tasks);
@@ -147,11 +143,11 @@ AdminRequest parse_admin(const JsonValue& doc) {
                        ? AdminAction::kSetCacheEntries
                        : AdminAction::kSetWorkers;
     const JsonValue* v = doc.get("value");
-    if (v == nullptr || !v->is_number() || v->number < 1.0 ||
-        v->number != std::floor(v->number)) {
+    const auto n = v != nullptr ? v->as_uint() : std::nullopt;
+    if (!n || *n < 1) {
       fail("admin." + action + " needs an integer \"value\" >= 1");
     }
-    admin.value = static_cast<std::size_t>(v->number);
+    admin.value = *n;
     return admin;
   }
   if (action == "catalog-reload") {
@@ -172,11 +168,9 @@ AdminRequest parse_admin(const JsonValue& doc) {
       if (recipe.name.empty()) fail("catalog entry needs a \"name\"");
       if (recipe.base.empty()) fail("catalog entry needs a \"base\"");
       if (const JsonValue* seed = entry.get("seed"); seed != nullptr) {
-        if (!seed->is_number() || seed->number < 0.0 ||
-            seed->number != std::floor(seed->number)) {
-          fail("catalog entry seed must be a non-negative integer");
-        }
-        recipe.seed = static_cast<std::uint64_t>(seed->number);
+        const auto n = seed->as_uint();
+        if (!n) fail("catalog entry seed must be a non-negative integer");
+        recipe.seed = *n;
       }
       recipe.tasks = size_field(entry, "tasks", recipe.tasks);
       recipe.window_s = require_positive(
@@ -224,11 +218,11 @@ AdminRequest parse_admin(const JsonValue& doc) {
            "[A-Za-z0-9._-]{1,64}");
     }
     const JsonValue* v = doc.get("value");
-    if (v == nullptr || !v->is_number() || v->number < 1.0 ||
-        v->number != std::floor(v->number)) {
+    const auto n = v != nullptr ? v->as_uint() : std::nullopt;
+    if (!n || *n < 1) {
       fail("admin.archive-cap needs an integer \"value\" >= 1");
     }
-    admin.value = static_cast<std::size_t>(v->number);
+    admin.value = *n;
     return admin;
   }
   fail("unknown admin action '" + action +
@@ -308,12 +302,12 @@ std::vector<ScenarioMutation> parse_mutations(const JsonValue& doc) {
     } else if (op == "drop-machine") {
       mut.op = ScenarioMutation::Op::kDropMachine;
       const JsonValue* v = entry.get("machine");
-      if (v == nullptr || !v->is_number() || v->number < 0.0 ||
-          v->number != std::floor(v->number)) {
+      const auto n = v != nullptr ? v->as_uint() : std::nullopt;
+      if (!n) {
         fail("mutation drop-machine needs a non-negative integer "
              "\"machine\" instance index");
       }
-      mut.machine = static_cast<std::size_t>(v->number);
+      mut.machine = *n;
     } else {
       fail("unknown mutation op '" + op +
            "' (want add-tasks|remove-tasks|set-window|drop-machine)");

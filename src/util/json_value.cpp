@@ -1,6 +1,7 @@
 #include "util/json_value.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -227,6 +228,15 @@ class Parser {
 };
 
 }  // namespace
+
+std::optional<std::uint64_t> JsonValue::as_uint() const noexcept {
+  constexpr double kMax = 9007199254740992.0;  // 2^53
+  if (!is_number() || !(number >= 0.0 && number <= kMax) ||
+      number != std::floor(number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(number);
+}
 
 const JsonValue* JsonValue::get(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;

@@ -8,7 +8,9 @@
 // are kilobytes.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -48,6 +50,13 @@ class JsonValue {
   [[nodiscard]] bool is_string() const noexcept {
     return kind == Kind::kString;
   }
+
+  /// The number as an integer in [0, 2^53] — the range in which every
+  /// integer is exactly a double — or nullopt when it is not a number, is
+  /// negative, fractional or larger.  The one gate in front of every cast
+  /// of a wire number to an unsigned integer: casting an out-of-range
+  /// double is undefined behaviour.
+  [[nodiscard]] std::optional<std::uint64_t> as_uint() const noexcept;
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const JsonValue* get(std::string_view key) const;

@@ -174,7 +174,12 @@ TEST(EvaluatorDifferential, DeltaMatchesFullOracleAcrossOptionModes) {
 
 TEST(EvaluatorDifferential, LargeDeltaFallsBackAndStaysExact) {
   const Scenario scenario = make_dataset1(12);
-  const Evaluator ev(scenario.system, scenario.trace);
+  MetricsRegistry metrics;
+  EvaluatorOptions options;
+  options.metrics = &metrics;
+  const Evaluator ev(scenario.system, scenario.trace, options);
+  Counter& hits = metrics.counter("evaluator.incremental.hits");
+  Counter& fallbacks = metrics.counter("evaluator.incremental.fallbacks");
   Rng rng(7);
   const Allocation parent =
       random_valid_allocation(scenario.system, scenario.trace, rng, 0);
@@ -197,6 +202,74 @@ TEST(EvaluatorDifferential, LargeDeltaFallsBackAndStaysExact) {
   const Evaluation oracle = ev.evaluate(child, oracle_state);
   expect_bit_identical(delta, oracle);
   expect_states_equal(delta_state, oracle_state);
+  EXPECT_EQ(hits.value(), 0U);
+  EXPECT_EQ(fallbacks.value(), 1U);
+
+  // Just past T/2 and the whole genome, validated and trusted: each large
+  // delta is exactly one fallback and no hit, and stays exact.
+  for (const std::size_t genes : {n / 2 + 1, n}) {
+    for (const bool trusted : {false, true}) {
+      SCOPED_TRACE("genes=" + std::to_string(genes) +
+                   (trusted ? " trusted" : " validated"));
+      const Allocation p =
+          random_valid_allocation(scenario.system, scenario.trace, rng, 0);
+      EvalState p_state;
+      ev.evaluate(p, p_state);
+      std::vector<std::uint32_t> t;
+      const Allocation c =
+          mutate_genes(p, scenario.system, scenario.trace, rng, genes, 0, t);
+      ASSERT_GT(t.size() * 2, n);
+      const std::uint64_t fallbacks_before = fallbacks.value();
+      EvalState c_state;
+      const Evaluation e =
+          ev.evaluate_incremental(c, p, p_state, t, c_state, trusted);
+      EvalState c_oracle_state;
+      expect_bit_identical(e, ev.evaluate(c, c_oracle_state));
+      expect_states_equal(c_state, c_oracle_state);
+      EXPECT_EQ(hits.value(), 0U);
+      EXPECT_EQ(fallbacks.value(), fallbacks_before + 1);
+    }
+  }
+
+  // A large delta still validates every touched gene: an ineligible one
+  // throws unless the child is trusted, and an out-of-range index always
+  // throws.  Dataset 2 has special-purpose machines, hence ineligibility.
+  const Scenario special = make_dataset2(12);
+  const Evaluator sev(special.system, special.trace);
+  const std::size_t sn = special.trace.size();
+  const Allocation sp =
+      random_valid_allocation(special.system, special.trace, rng, 0);
+  EvalState sp_state;
+  sev.evaluate(sp, sp_state);
+  std::vector<std::uint32_t> st;
+  Allocation sc =
+      mutate_genes(sp, special.system, special.trace, rng, sn / 2 + 1, 0, st);
+  ASSERT_GT(st.size() * 2, sn);
+  std::vector<std::uint32_t> out_of_range = st;
+  out_of_range.push_back(static_cast<std::uint32_t>(sn));
+  for (const bool trusted : {false, true}) {
+    EvalState out;
+    EXPECT_THROW((void)sev.evaluate_incremental(sc, sp, sp_state,
+                                                out_of_range, out, trusted),
+                 std::invalid_argument);
+  }
+  bool planted = false;
+  for (std::size_t g = 0; g < sn && !planted; ++g) {
+    const std::size_t type = special.trace.tasks()[g].type;
+    for (std::size_t m = 0; m < special.system.num_machines(); ++m) {
+      if (!special.system.eligible(type, m)) {
+        sc.machine[g] = static_cast<int>(m);
+        st.push_back(static_cast<std::uint32_t>(g));
+        planted = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(planted) << "dataset 2 has no ineligible task/machine pair";
+  EvalState out;
+  EXPECT_THROW(
+      (void)sev.evaluate_incremental(sc, sp, sp_state, st, out),
+      std::invalid_argument);
 }
 
 TEST(EvaluatorDifferential, InvalidParentStateFallsBack) {
@@ -485,9 +558,9 @@ TEST(DeltaOracle, MakespanEnergyMatchesFullSimulationEveryGeneration) {
 }
 
 TEST(EvaluatorDifferential, FrontsInvariantAcrossExecutionModes) {
-  // The same seed must yield bit-identical fronts whether evaluation is
-  // interleaved (serial) or pooled: the evaluator is a pure function and
-  // neither path may perturb it.  The reference run is held to the full
+  // The same seed must yield bit-identical fronts whether a generation's
+  // batch is evaluated in a plain loop (serial) or on a pool: the evaluator
+  // is a pure function and neither schedule may perturb it.  The reference run is held to the full
   // simulator every generation by the delta oracle.
   const Scenario scenario = make_dataset1(19);
   const std::vector<EUPoint> reference =

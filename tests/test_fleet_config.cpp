@@ -80,6 +80,7 @@ TEST(FleetConfig, RejectsBadPorts) {
   expect_rejected(R"({"backends":[{"name":"a","port":0}]})", "port");
   expect_rejected(R"({"backends":[{"name":"a","port":65536}]})", "port");
   expect_rejected(R"({"backends":[{"name":"a","port":-1}]})", "port");
+  expect_rejected(R"({"backends":[{"name":"a","port":1e300}]})", "port");
   expect_rejected(R"({"backends":[{"name":"a","port":7471.5}]})", "port");
   expect_rejected(R"({"backends":[{"name":"a","port":"7471"}]})", "port");
   expect_rejected(R"({"backends":[{"name":"a"}]})", "port");
@@ -120,6 +121,12 @@ TEST(FleetConfig, RejectsBadFactorsAndCaps) {
       R"({"backends":[{"name":"a","port":7471,"watts":-1}]})", "watts");
   expect_rejected(
       R"({"backends":[{"name":"a","port":7471,"max_in_flight":0}]})",
+      "max_in_flight");
+  expect_rejected(
+      R"({"backends":[{"name":"a","port":7471,"max_in_flight":1e300}]})",
+      "max_in_flight");
+  expect_rejected(
+      R"({"backends":[{"name":"a","port":7471,"max_in_flight":2.5}]})",
       "max_in_flight");
   expect_rejected(
       R"({"backends":[{"name":"a","port":7471,"enabled":"yes"}]})",

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "data/historical.hpp"
 #include "heuristics/seeds.hpp"
@@ -289,6 +290,49 @@ TEST(Nsga2, ThreadedEvaluationMatchesSerial) {
   a.iterate(10);
   b.iterate(10);
   EXPECT_EQ(a.front_points(), b.front_points());
+}
+
+TEST(Nsga2, SerialAndPooledRunsCountTheSameWork) {
+  // Each generation's offspring are scored as one batch, on a pool when
+  // there is one and in a plain loop when there is not, so the schedule
+  // changes neither the front nor any count of work done.
+  const Fixture fx;
+  struct Work {
+    std::vector<EUPoint> front;
+    std::uint64_t evaluations = 0;
+    std::uint64_t counted_evaluations = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t fallbacks = 0;
+  };
+  const auto run = [&](ThreadPool* pool) {
+    MetricsRegistry metrics;
+    EvaluatorOptions options;
+    options.metrics = &metrics;
+    const UtilityEnergyProblem problem(fx.system, fx.trace, options);
+    Nsga2Config cfg = small_config(11);
+    cfg.shared_pool = pool;
+    cfg.metrics = &metrics;
+    Nsga2 ga(problem, cfg);
+    ga.initialize({});
+    ga.iterate(15);
+    return Work{ga.front_points(), ga.evaluations(),
+                metrics.counter("nsga2.evaluations").value(),
+                metrics.counter("evaluator.incremental.hits").value(),
+                metrics.counter("evaluator.incremental.fallbacks").value()};
+  };
+  const Work serial = run(nullptr);
+  EXPECT_GT(serial.hits, 0U);
+  EXPECT_EQ(serial.counted_evaluations, serial.evaluations);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("pool of " + std::to_string(threads));
+    ThreadPool pool(threads);
+    const Work pooled = run(&pool);
+    EXPECT_EQ(pooled.front, serial.front);
+    EXPECT_EQ(pooled.evaluations, serial.evaluations);
+    EXPECT_EQ(pooled.counted_evaluations, serial.counted_evaluations);
+    EXPECT_EQ(pooled.hits, serial.hits);
+    EXPECT_EQ(pooled.fallbacks, serial.fallbacks);
+  }
 }
 
 TEST(Nsga2, SeededPopulationContainsSeedObjectives) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "serve/protocol.hpp"
@@ -199,6 +200,39 @@ TEST(ParseRequest, AdminVerbsParseAndValidate) {
       ProtocolError);
   EXPECT_THROW(parse_request_text(R"({"type":"adminz","action":"flush"})"),
                ProtocolError);
+}
+
+// Integers arrive as JSON doubles; anything outside [0, 2^53] or
+// fractional must be refused, not cast (an out-of-range cast is undefined
+// behaviour and used to wrap to 0).
+TEST(ParseRequest, RejectsOutOfRangeIntegers) {
+  const auto reject = [](const char* text) {
+    EXPECT_THROW((void)parse_request_text(text), ProtocolError) << text;
+  };
+  reject(R"({"type":"allocate","mode":"nsga2",
+             "scenario":{"name":"dataset1","seed":1e300}})");
+  reject(R"({"type":"adminz","action":"set-workers","value":1e30})");
+  reject(R"({"type":"delta","tenant":"t","base":{"name":"custom"},
+             "mutations":[{"op":"drop-machine","machine":1e300}]})");
+  reject(R"({"type":"allocate","mode":"nsga2",
+             "scenario":{"name":"custom","tasks":2e19}})");
+  reject(R"({"type":"allocate","mode":"nsga2",
+             "scenario":{"name":"dataset1"},
+             "nsga2":{"generations":1e300}})");
+  reject(R"({"type":"adminz","action":"archive-cap","name":"t",
+             "value":1e300})");
+  reject(R"({"type":"adminz","action":"catalog-reload","catalog":
+             {"scenarios":[{"name":"q","base":"custom","seed":1e20}]}})");
+  reject(R"({"type":"allocate","mode":"nsga2",
+             "scenario":{"etc":[[1.0]],"epc":[[2.0]],
+                         "machine_counts":[1e300]}})");
+  // 2^53 is the largest accepted value; the next double above it is not.
+  const ServeRequest edge = parse_request_text(
+      R"({"type":"allocate","mode":"nsga2",
+          "scenario":{"name":"dataset1","seed":9007199254740992}})");
+  EXPECT_EQ(edge.scenario.seed, std::uint64_t{1} << 53U);
+  reject(R"({"type":"allocate","mode":"nsga2",
+             "scenario":{"name":"dataset1","seed":9007199254740994}})");
 }
 
 TEST(ResolveScenario, AliasesResolveToConcreteSpecs) {
