@@ -11,12 +11,11 @@ namespace eus::benchkit {
 
 Baselines baselines_from_json(const util::JsonValue& doc) {
   if (!doc.is_object()) throw std::runtime_error("baselines: not an object");
-  Baselines b;
-  b.schema_version = static_cast<int>(doc.number_or("schema_version", 0));
-  if (b.schema_version != 1) {
-    throw std::runtime_error("baselines: unsupported schema_version " +
-                             std::to_string(b.schema_version));
+  const util::JsonValue* version = doc.get("schema_version");
+  if (version == nullptr || version->as_uint() != 1U) {
+    throw std::runtime_error("baselines: unsupported schema_version");
   }
+  Baselines b;
   b.machine = doc.string_or("machine", "");
   const util::JsonValue* scenarios = doc.get("scenarios");
   if (scenarios == nullptr || !scenarios->is_object()) {

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -30,6 +31,19 @@ std::map<std::string, double> metric_map_from_json(const util::JsonValue* obj) {
     if (value.is_number()) out[name] = value.number;
   }
   return out;
+}
+
+/// Member `key` as an integer in 0..max, or `fallback` when absent.  A
+/// present value that is not such an integer is refused, never cast.
+std::uint64_t uint_field(const util::JsonValue& doc, std::string_view key,
+                         std::uint64_t fallback, std::uint64_t max) {
+  const util::JsonValue* v = doc.get(key);
+  if (v == nullptr) return fallback;
+  const std::optional<std::uint64_t> n = v->as_uint();
+  if (n && *n <= max) return *n;
+  const std::string what = "results: " + std::string(key);
+  throw std::runtime_error(what + " must be an integer in 0.." +
+                           std::to_string(max));
 }
 
 }  // namespace
@@ -119,29 +133,25 @@ std::string to_json(const BenchResults& results) {
 
 BenchResults results_from_json(const util::JsonValue& doc) {
   if (!doc.is_object()) throw std::runtime_error("results: not an object");
-  BenchResults results;
-  results.schema_version =
-      static_cast<int>(doc.number_or("schema_version", 0));
-  if (results.schema_version != 1) {
-    throw std::runtime_error("results: unsupported schema_version " +
-                             std::to_string(results.schema_version));
+  const util::JsonValue* version = doc.get("schema_version");
+  if (version == nullptr || version->as_uint() != 1U) {
+    throw std::runtime_error("results: unsupported schema_version");
   }
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  BenchResults results;
   results.git_sha = doc.string_or("git_sha", "unknown");
   if (const util::JsonValue* machine = doc.get("machine")) {
     results.machine.host = machine->string_or("host", "");
-    results.machine.hardware_threads =
-        static_cast<unsigned>(machine->number_or("hardware_threads", 0));
+    results.machine.hardware_threads = static_cast<unsigned>(
+        uint_field(*machine, "hardware_threads", 0, kIntMax));
   }
   if (const util::JsonValue* config = doc.get("config")) {
     results.config.scale = config->number_or("scale", 1.0);
-    results.config.seed =
-        static_cast<std::uint64_t>(config->number_or("seed", 0));
-    results.config.threads =
-        static_cast<std::size_t>(config->number_or("threads", 0));
-    results.config.warmup =
-        static_cast<std::size_t>(config->number_or("warmup", 0));
-    results.config.repetitions =
-        static_cast<std::size_t>(config->number_or("repetitions", 1));
+    results.config.seed = uint_field(*config, "seed", 0, kAny);
+    results.config.threads = uint_field(*config, "threads", 0, kAny);
+    results.config.warmup = uint_field(*config, "warmup", 0, kAny);
+    results.config.repetitions = uint_field(*config, "repetitions", 1, kAny);
   }
   const util::JsonValue* scenarios = doc.get("scenarios");
   if (scenarios == nullptr || !scenarios->is_object()) {
@@ -150,7 +160,7 @@ BenchResults results_from_json(const util::JsonValue& doc) {
   for (const auto& [name, entry] : scenarios->object) {
     ScenarioResult s;
     s.name = name;
-    s.exit_code = static_cast<int>(entry.number_or("exit_code", 0));
+    s.exit_code = static_cast<int>(uint_field(entry, "exit_code", 0, kIntMax));
     if (const util::JsonValue* wall = entry.get("wall_s")) {
       if (const util::JsonValue* samples = wall->get("samples")) {
         for (const util::JsonValue& v : samples->array) {

@@ -37,8 +37,7 @@ bool same_config(const BackendConfig& a, const BackendConfig& b) {
 /// payload verbatim but still classifies it for metrics and the log).
 int response_code(const std::string& payload) noexcept {
   try {
-    const util::JsonValue doc = util::parse_json(payload);
-    return static_cast<int>(doc.number_or("code", kCodeOk));
+    return serve::response_code(util::parse_json(payload), kCodeOk);
   } catch (const std::exception&) {
     return kCodeInternal;
   }

@@ -147,6 +147,10 @@ AdminRequest parse_admin(const JsonValue& doc) {
     if (!n || *n < 1) {
       fail("admin." + action + " needs an integer \"value\" >= 1");
     }
+    if (admin.action == AdminAction::kSetWorkers && *n > kMaxWorkers) {
+      fail("admin.set-workers \"value\" must be in 1.." +
+           std::to_string(kMaxWorkers));
+    }
     admin.value = *n;
     return admin;
   }
@@ -559,6 +563,12 @@ ServeRequest parse_request_text(std::string_view json) {
   } catch (const util::JsonParseError& e) {
     fail(std::string("malformed JSON: ") + e.what());
   }
+}
+
+int response_code(const JsonValue& doc, int fallback) {
+  const JsonValue* code = doc.get("code");
+  const auto n = code != nullptr ? code->as_uint() : std::nullopt;
+  return n && *n <= 999 ? static_cast<int>(*n) : fallback;
 }
 
 ScenarioSpec resolve_scenario(const ScenarioSpec& spec,

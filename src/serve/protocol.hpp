@@ -39,6 +39,10 @@ namespace eus::serve {
 /// rejected with a framing error (inline ETC/EPC matrices fit comfortably).
 inline constexpr std::size_t kMaxFrameBytes = 4U << 20U;
 
+/// Cap on request-executing workers (set-workers, --workers): each worker
+/// is one OS thread running CPU-bound NSGA-II.
+inline constexpr std::size_t kMaxWorkers = 256;
+
 /// Malformed frame or request document.
 class ProtocolError : public std::runtime_error {
  public:
@@ -194,6 +198,11 @@ struct ServeRequest {
 /// reason suitable for echoing back to the client.
 [[nodiscard]] ServeRequest parse_request(const util::JsonValue& doc);
 [[nodiscard]] ServeRequest parse_request_text(std::string_view json);
+
+/// The status code a reply document carries: its "code" member when that
+/// is an integer in 0..999, else `fallback` (an absent, fractional,
+/// negative or huge code never reaches an int cast).
+[[nodiscard]] int response_code(const util::JsonValue& doc, int fallback);
 
 /// Resolves a catalog alias to its concrete built-in spec (built-in names
 /// pass through unchanged; an explicit request seed overrides the

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -11,63 +12,75 @@ namespace eus::serve {
 
 // ---------------------------------------------------------------- WorkerCrew
 
-WorkerCrew::WorkerCrew(BoundedQueue<RequestJob>& queue,
+WorkerCrew::WorkerCrew(std::size_t capacity,
                        std::function<void(RequestJob&)> execute)
-    : queue_(queue), execute_(std::move(execute)) {}
+    : execute_(std::move(execute)),
+      capacity_(std::max<std::size_t>(capacity, 1)) {}
 
-void WorkerCrew::spawn_locked() {
-  members_.emplace_back();
-  Member* member = &members_.back();
-  ++active_;
-  member->thread = std::thread([this, member] { worker_loop(member); });
-}
-
-void WorkerCrew::reap_locked() {
-  for (auto it = members_.begin(); it != members_.end();) {
-    // A done member holds no locks anymore, so joining under the mutex is
-    // safe (and keeps the list mutation race-free).
-    if (it->done.load(std::memory_order_acquire)) {
-      if (it->thread.joinable()) it->thread.join();
-      it = members_.erase(it);
-    } else {
-      ++it;
-    }
+bool WorkerCrew::try_push(RequestJob&& job) {
+  {
+    const std::lock_guard lock(mutex_);
+    if (closed_ || jobs_.size() >= capacity_) return false;
+    jobs_.push_back(std::move(job));
   }
+  wake_.notify_one();
+  return true;
 }
 
 void WorkerCrew::resize(std::size_t target) {
-  if (target < 1) target = 1;
-  std::size_t poisons = 0;
   {
     const std::lock_guard lock(mutex_);
-    if (halted_) return;
-    reap_locked();
-    target_ = target;
-    while (active_ < target_) spawn_locked();
-    if (active_ > target_) poisons = active_ - target_;
+    if (closed_) return;
+    target_ = std::max<std::size_t>(target, 1);
+    if (threads_.size() < target_) {
+      threads_.resize(target_);
+      running_.resize(target_, false);
+    }
+    for (std::size_t slot = 0; slot < target_; ++slot) {
+      if (running_[slot]) continue;  // not exited: it sees the new target
+      // An exited worker holds no lock anymore, so joining it under the
+      // mutex is safe.
+      if (threads_[slot].joinable()) threads_[slot].join();
+      running_[slot] = true;
+      threads_[slot] = std::thread([this, slot] { worker_loop(slot); });
+    }
   }
-  for (std::size_t i = 0; i < poisons; ++i) {
-    RequestJob token;
-    token.poison = true;
-    queue_.push_control(std::move(token));
+  wake_.notify_all();  // slots at or above the target retire
+}
+
+void WorkerCrew::set_capacity(std::size_t capacity) {
+  const std::lock_guard lock(mutex_);
+  capacity_ = std::max<std::size_t>(capacity, 1);
+}
+
+void WorkerCrew::close() {
+  {
+    const std::lock_guard lock(mutex_);
+    closed_ = true;
   }
+  wake_.notify_all();
 }
 
 void WorkerCrew::halt() {
+  close();
+  std::vector<std::thread> threads;
   {
     const std::lock_guard lock(mutex_);
-    if (halted_) return;
-    halted_ = true;
+    threads.swap(threads_);  // resize() refuses once closed
   }
-  queue_.close();
-  // members_ is stable now: resize() refuses after halted_, and workers
-  // only mark themselves done.  Join outside the lock — exiting workers
-  // take it to decrement active_.
-  for (Member& member : members_) {
-    if (member.thread.joinable()) member.thread.join();
+  for (std::thread& thread : threads) {
+    if (thread.joinable()) thread.join();
   }
+}
+
+std::size_t WorkerCrew::size() const {
   const std::lock_guard lock(mutex_);
-  members_.clear();
+  return jobs_.size();
+}
+
+std::size_t WorkerCrew::capacity() const {
+  const std::lock_guard lock(mutex_);
+  return capacity_;
 }
 
 std::size_t WorkerCrew::target() const {
@@ -77,30 +90,34 @@ std::size_t WorkerCrew::target() const {
 
 std::size_t WorkerCrew::active() const {
   const std::lock_guard lock(mutex_);
-  return active_;
+  return static_cast<std::size_t>(
+      std::count(running_.begin(), running_.end(), true));
 }
 
-void WorkerCrew::worker_loop(Member* self) {
+void WorkerCrew::worker_loop(std::size_t slot) {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::optional<RequestJob> job = queue_.pop();
-    if (!job) break;  // queue closed and drained
-    if (job->poison) {
-      const std::lock_guard lock(mutex_);
-      if (active_ > target_) break;  // shrink: this worker retires
-      continue;  // stale token — a grow landed since the shrink; discard
-    }
-    execute_(*job);
+    wake_.wait(lock,
+               [&] { return slot >= target_ || closed_ || !jobs_.empty(); });
+    if (slot >= target_ || jobs_.empty()) break;  // retired, or drained
+    RequestJob job = std::move(jobs_.front());
+    jobs_.pop_front();
+    lock.unlock();
+    execute_(job);
+    lock.lock();
   }
-  {
-    const std::lock_guard lock(mutex_);
-    --active_;
-  }
-  self->done.store(true, std::memory_order_release);
+  running_[slot] = false;
+  // A push's notify_one may have woken this retiring worker instead of a
+  // running one: pass it on so the queued job is not stranded.
+  if (!jobs_.empty()) wake_.notify_one();
 }
 
 // -------------------------------------------------------------------- Server
 
-Server::Server(ServerConfig config) : config_(std::move(config)) {
+Server::Server(ServerConfig config)
+    : config_(std::move(config)),
+      crew_(config_.queue_depth,
+            [this](RequestJob& job) { execute_job(job); }) {
   if (config_.metrics != nullptr) {
     metrics_ = config_.metrics;
   } else {
@@ -114,9 +131,6 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   if (config_.eval_threads != 1) {
     eval_pool_ = std::make_unique<ThreadPool>(config_.eval_threads);
   }
-  queue_ = std::make_unique<BoundedQueue<RequestJob>>(config_.queue_depth);
-  crew_ = std::make_unique<WorkerCrew>(
-      *queue_, [this](RequestJob& job) { execute_job(job); });
   handler_context_.metrics = metrics_;
   handler_context_.cache = cache_.get();
   handler_context_.pool = eval_pool_.get();
@@ -125,17 +139,17 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
 
 Server::~Server() { stop(); }
 
-std::size_t Server::queue_size() const { return queue_->size(); }
-std::size_t Server::queue_capacity() const { return queue_->capacity(); }
-std::size_t Server::worker_target() const { return crew_->target(); }
-std::size_t Server::worker_active() const { return crew_->active(); }
+std::size_t Server::queue_size() const { return crew_.size(); }
+std::size_t Server::queue_capacity() const { return crew_.capacity(); }
+std::size_t Server::worker_target() const { return crew_.target(); }
+std::size_t Server::worker_active() const { return crew_.active(); }
 std::size_t Server::eval_threads() const {
   return eval_pool_ ? eval_pool_->size() : 1;
 }
 
 void Server::set_queue_capacity(std::size_t depth) {
-  queue_->set_capacity(depth);
-  metric_queue_depth_->set(static_cast<double>(queue_->size()));
+  crew_.set_capacity(depth);
+  metric_queue_depth_->set(static_cast<double>(crew_.size()));
 }
 
 void Server::set_cache_capacity(std::size_t entries) {
@@ -143,9 +157,9 @@ void Server::set_cache_capacity(std::size_t entries) {
 }
 
 void Server::set_workers(std::size_t count) {
-  crew_->resize(count);
+  crew_.resize(count);
   if (metric_workers_ != nullptr) {
-    metric_workers_->set(static_cast<double>(crew_->target()));
+    metric_workers_->set(static_cast<double>(crew_.target()));
   }
 }
 
@@ -172,8 +186,7 @@ void Server::start() {
   metric_latency_ = &metrics_->histogram("serve.latency");
 
   uptime_.reset();
-  crew_->start(config_.workers);
-  metric_workers_->set(static_cast<double>(crew_->target()));
+  set_workers(config_.workers);
   listener_.start(
       config_.port, config_.max_frame_bytes,
       [this](const std::string& payload) { return process_payload(payload); },
@@ -208,7 +221,7 @@ void Server::halt_acceptor() {
 
 void Server::halt_queue() {
   if (queue_halted_.exchange(true)) return;
-  queue_->close();
+  crew_.close();
   if (metric_halt_queue_ != nullptr) metric_halt_queue_->add();
 }
 
@@ -217,7 +230,7 @@ void Server::halt_workers() {
   // Workers drain the closed queue and resolve every pending promise;
   // only then can the connection readers (blocked on those futures) be
   // unblocked and joined.
-  crew_->halt();
+  crew_.halt();
   listener_.halt_connections();
   if (metric_halt_workers_ != nullptr) metric_halt_workers_->add();
 }
@@ -230,7 +243,7 @@ void Server::stop() {
 }
 
 void Server::execute_job(RequestJob& job) {
-  metric_queue_depth_->set(static_cast<double>(queue_->size()));
+  metric_queue_depth_->set(static_cast<double>(crew_.size()));
   const double queue_ms = job.waited.milliseconds();
   metric_queue_wait_->add(
       std::chrono::nanoseconds(static_cast<std::int64_t>(queue_ms * 1e6)));
@@ -299,7 +312,7 @@ std::string Server::process_payload(const std::string& payload) {
   RequestJob job;
   job.request = request;
   std::future<HandleResult> future = job.promise.get_future();
-  if (!queue_->try_push(std::move(job))) {
+  if (!crew_.try_push(std::move(job))) {
     metric_dropped_->add();
     const char* reason = draining_.load(std::memory_order_relaxed)
                              ? "server is draining; no new work accepted"
@@ -307,7 +320,7 @@ std::string Server::process_payload(const std::string& payload) {
     log_request(request, kCodeOverloaded, total.milliseconds(), true);
     return error_payload(request.id, kCodeOverloaded, "overloaded", reason);
   }
-  metric_queue_depth_->set(static_cast<double>(queue_->size()));
+  metric_queue_depth_->set(static_cast<double>(crew_.size()));
 
   HandleResult result = future.get();
   if (result.code == kCodeOk || result.code == kCodePartial) {
@@ -327,11 +340,11 @@ std::string Server::healthz_payload(const std::string& id) const {
   if (config_.state != nullptr) {
     o.field("phase", to_string(config_.state->phase()));
   }
-  o.field("queue_depth", static_cast<std::uint64_t>(queue_->size()));
-  o.field("queue_capacity", static_cast<std::uint64_t>(queue_->capacity()));
+  o.field("queue_depth", static_cast<std::uint64_t>(crew_.size()));
+  o.field("queue_capacity", static_cast<std::uint64_t>(crew_.capacity()));
   o.field("in_flight", static_cast<std::uint64_t>(
                            in_flight_.load(std::memory_order_relaxed)));
-  o.field("workers", static_cast<std::uint64_t>(crew_->target()));
+  o.field("workers", static_cast<std::uint64_t>(crew_.target()));
   o.field("eval_threads",
           static_cast<std::uint64_t>(eval_pool_ ? eval_pool_->size() : 1));
   o.field("cache_size",
@@ -367,10 +380,10 @@ std::string Server::admin_config_payload(const std::string& id) const {
   if (config_.state != nullptr) {
     o.field("phase", to_string(config_.state->phase()));
   }
-  o.field("queue_depth", static_cast<std::uint64_t>(queue_->capacity()));
-  o.field("queue_size", static_cast<std::uint64_t>(queue_->size()));
-  o.field("workers", static_cast<std::uint64_t>(crew_->target()));
-  o.field("workers_active", static_cast<std::uint64_t>(crew_->active()));
+  o.field("queue_depth", static_cast<std::uint64_t>(crew_.capacity()));
+  o.field("queue_size", static_cast<std::uint64_t>(crew_.size()));
+  o.field("workers", static_cast<std::uint64_t>(crew_.target()));
+  o.field("workers_active", static_cast<std::uint64_t>(crew_.active()));
   o.field("eval_threads",
           static_cast<std::uint64_t>(eval_pool_ ? eval_pool_->size() : 1));
   o.field("cache_entries",
@@ -414,7 +427,7 @@ std::string Server::adminz_payload(const ServeRequest& request) {
       return admin_config_payload(request.id);
     case AdminAction::kSetQueueDepth:
       set_queue_capacity(admin.value);
-      return applied("queue_depth", queue_->capacity());
+      return applied("queue_depth", crew_.capacity());
     case AdminAction::kSetCacheEntries:
       if (cache_ == nullptr) {
         return error_payload(request.id, kCodeBadRequest, "error",
@@ -425,7 +438,7 @@ std::string Server::adminz_payload(const ServeRequest& request) {
       return applied("cache_entries", cache_->capacity());
     case AdminAction::kSetWorkers:
       set_workers(admin.value);
-      return applied("workers", crew_->target());
+      return applied("workers", crew_.target());
     case AdminAction::kCatalogReload:
       return catalog_reload_payload(config_.catalog, admin, request.id);
     case AdminAction::kEnableBackend:

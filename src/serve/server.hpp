@@ -2,20 +2,20 @@
 
 // eus_served's engine, decomposed into the components the runtime halts in
 // order (docs/runtime.md): a FrameListener (listen socket, accept thread
-// and per-connection reader threads; net.hpp), a bounded request queue with
-// explicit backpressure, and a WorkerCrew (elastic worker pool that
-// executes allocate requests through handlers.cpp — NSGA-II evaluation
-// batches fan out onto one shared ThreadPool, so concurrent requests share
-// the machine instead of oversubscribing it).  The Server class is the
-// facade wiring them together; ServeRuntime (runtime.hpp) owns the
-// process-level lifecycle around it.
+// and per-connection reader threads; net.hpp) and a WorkerCrew (a bounded
+// request queue with explicit backpressure plus the elastic worker pool
+// that drains it, executing allocate requests through handlers.cpp —
+// NSGA-II evaluation batches fan out onto one shared ThreadPool, so
+// concurrent requests share the machine instead of oversubscribing it).
+// The Server class is the facade wiring them together; ServeRuntime
+// (runtime.hpp) owns the process-level lifecycle around it.
 //
 // Flow control: the listener hands each request frame to process_payload(),
 // which parses it and enqueues the request; if the queue is full (or the
 // server is draining) the client gets an immediate 503-style JSON error —
-// the queue never grows beyond its configured depth.  healthz/metricsz/adminz requests bypass the queue
-// and answer inline from the connection thread, so health and the admin
-// plane stay responsive under full load.
+// the queue never grows beyond its configured depth.  healthz/metricsz/
+// adminz requests bypass the queue and answer inline from the connection
+// thread, so health and the admin plane stay responsive under full load.
 //
 // Live administration: set_queue_capacity / set_cache_capacity /
 // set_workers retune the running server without a restart (the adminz
@@ -36,17 +36,18 @@
 // (eus_client --concurrency does exactly that).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/scenario_catalog.hpp"
-#include "serve/bounded_queue.hpp"
 #include "serve/front_cache.hpp"
 #include "serve/handlers.hpp"
 #include "serve/net.hpp"
@@ -59,59 +60,66 @@ namespace eus::serve {
 
 class RuntimeState;  // runtime.hpp — healthz/adminz report its phase
 
-/// One queued allocate request, or a WorkerCrew control token.
+/// One queued allocate or delta request.
 struct RequestJob {
   ServeRequest request;
   Stopwatch waited;  ///< starts at enqueue: measures queue time
   std::promise<HandleResult> promise;
-  bool poison = false;  ///< control token: the popping worker re-checks
-                        ///< the crew target and retires when over it
 };
 
-/// Elastic pool of request-executing workers over one BoundedQueue.
-/// Growing spawns threads; shrinking front-pushes poison tokens so a
-/// blocked worker wakes, re-checks the target, and retires — queued work
-/// is never dropped by a resize.  halt() closes the queue and joins after
-/// the drain.
+/// The bounded request queue and the elastic pool of workers that drain
+/// it, under one mutex and one condition variable.  try_push never blocks
+/// and never grows the queue past its capacity: a full queue is the
+/// caller's signal to shed load.  Workers are numbered by slot and slot i
+/// runs while i < target, so a shrink retires the idle workers at or above
+/// the new target and a busy one once its job is done; queued work is
+/// never dropped by a resize.  Slot 0 never retires, so halt() always
+/// drains the queue.
 class WorkerCrew {
  public:
-  WorkerCrew(BoundedQueue<RequestJob>& queue,
-             std::function<void(RequestJob&)> execute);
+  WorkerCrew(std::size_t capacity, std::function<void(RequestJob&)> execute);
   ~WorkerCrew() { halt(); }
 
   WorkerCrew(const WorkerCrew&) = delete;
   WorkerCrew& operator=(const WorkerCrew&) = delete;
 
-  void start(std::size_t count) { resize(count); }
+  /// Enqueues unless the queue is full or closed; returns whether the job
+  /// was taken (on false the caller still owns `job`).
+  [[nodiscard]] bool try_push(RequestJob&& job);
 
-  /// Live resize (clamped >= 1).  A poison token popped after a
-  /// grow-back is discarded, so shrink/grow races self-correct.
+  /// Live resize (clamped >= 1): starts the missing slots below the new
+  /// target and wakes the workers at or above it so they retire.  A no-op
+  /// once the queue is closed.
   void resize(std::size_t target);
 
-  /// Closes the queue, lets the workers drain every queued job, joins
+  /// Live capacity change (clamped >= 1).  Jobs already queued beyond a
+  /// smaller capacity stay queued; only future try_push calls see it.
+  void set_capacity(std::size_t capacity);
+
+  /// Refuses new jobs; queued ones still run.  Idempotent.
+  void close();
+
+  /// Closes the queue, lets the workers drain every queued job and joins
   /// every thread.  Idempotent.
   void halt();
 
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t capacity() const;
   [[nodiscard]] std::size_t target() const;
   [[nodiscard]] std::size_t active() const;
 
  private:
-  struct Member {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
+  void worker_loop(std::size_t slot);
 
-  void worker_loop(Member* self);
-  void spawn_locked();
-  void reap_locked();
-
-  BoundedQueue<RequestJob>& queue_;
   std::function<void(RequestJob&)> execute_;
   mutable std::mutex mutex_;
-  std::list<Member> members_;
+  std::condition_variable wake_;
+  std::deque<RequestJob> jobs_;
+  std::vector<std::thread> threads_;  ///< indexed by slot
+  std::vector<bool> running_;         ///< per slot: its worker has not exited
+  std::size_t capacity_;
   std::size_t target_ = 0;
-  std::size_t active_ = 0;
-  bool halted_ = false;
+  bool closed_ = false;
 };
 
 struct ServerConfig {
@@ -182,7 +190,7 @@ class Server {
   // order below (stop() and ServeRuntime::halt() do), and bumps its
   // serve.lifecycle.* counter on the first call.
   void halt_acceptor();  ///< stop accepting; join the accept thread
-  void halt_queue();     ///< refuse new work; queued jobs stay poppable
+  void halt_queue();     ///< refuse new work; queued jobs still run
   void halt_workers();   ///< drain + join workers, then close connections
 
   /// True once request_stop()/stop()/halt_acceptor() has begun.
@@ -229,8 +237,7 @@ class Server {
   std::unique_ptr<ThreadPool> eval_pool_;  ///< null when eval_threads == 1
   HandlerContext handler_context_;
 
-  std::unique_ptr<BoundedQueue<RequestJob>> queue_;
-  std::unique_ptr<WorkerCrew> crew_;
+  WorkerCrew crew_;
   FrameListener listener_;
 
   Stopwatch uptime_;

@@ -200,6 +200,25 @@ TEST(BenchkitResults, ParserRejectsWrongSchemaVersion) {
       std::runtime_error);
 }
 
+// Integer fields arrive as JSON doubles: an out-of-range one is refused,
+// never cast (a 1e300 cast to an integer is undefined behaviour).
+TEST(BenchkitResults, ParserRejectsOutOfRangeIntegers) {
+  const util::JsonValue threads = util::parse_json(
+      R"({"schema_version":1, "config":{"threads":1e300}, "scenarios":{}})");
+  EXPECT_THROW((void)results_from_json(threads), std::runtime_error);
+  const util::JsonValue exit_code = util::parse_json(
+      R"({"schema_version": 1, "scenarios": {"a": {"exit_code": 1e300}}})");
+  EXPECT_THROW((void)results_from_json(exit_code), std::runtime_error);
+  const util::JsonValue version =
+      util::parse_json(R"({"schema_version": 1e300, "scenarios": {}})");
+  EXPECT_THROW((void)results_from_json(version), std::runtime_error);
+  EXPECT_THROW((void)baselines_from_json(version), std::runtime_error);
+
+  const util::JsonValue fits = util::parse_json(
+      R"({"schema_version": 1, "config": {"threads": 4}, "scenarios": {}})");
+  EXPECT_EQ(results_from_json(fits).config.threads, 4U);
+}
+
 // ----------------------------------------------------------------- compare
 
 Baselines sample_baselines() {

@@ -233,6 +233,28 @@ TEST(ParseRequest, RejectsOutOfRangeIntegers) {
   EXPECT_EQ(edge.scenario.seed, std::uint64_t{1} << 53U);
   reject(R"({"type":"allocate","mode":"nsga2",
              "scenario":{"name":"dataset1","seed":9007199254740994}})");
+  // set-workers starts one thread per worker: kMaxWorkers bounds it.
+  reject(R"({"type":"adminz","action":"set-workers","value":257})");
+  reject(R"({"type":"adminz","action":"set-workers",
+             "value":9007199254740992})");
+  const ServeRequest most_workers = parse_request_text(
+      R"({"type":"adminz","action":"set-workers","value":256})");
+  EXPECT_EQ(most_workers.admin.value, 256U);
+}
+
+// A reply's "code" is read through the same integer check: a hostile or
+// corrupt code falls back instead of reaching an int cast.
+TEST(ResponseCode, FallsBackOnNonIntegerOrHugeCodes) {
+  const auto code = [](const char* text) {
+    return response_code(util::parse_json(text), -7);
+  };
+  EXPECT_EQ(code(R"({"code":206})"), 206);
+  EXPECT_EQ(code(R"({"code":1e300})"), -7);
+  EXPECT_EQ(code(R"({"code":-1})"), -7);
+  EXPECT_EQ(code(R"({"code":2.5})"), -7);
+  EXPECT_EQ(code(R"({"code":1000})"), -7);
+  EXPECT_EQ(code(R"({"code":"200"})"), -7);
+  EXPECT_EQ(code(R"({"status":"ok"})"), -7);
 }
 
 TEST(ResolveScenario, AliasesResolveToConcreteSpecs) {

@@ -537,7 +537,8 @@ TEST(ServeAdmin, LiveKnobsRetuneTheRunningServer) {
     EXPECT_EQ(server.worker_active(), 4U);
   }
 
-  // Shrinking retires workers via poison tokens without dropping work.
+  // Shrinking retires the workers above the new target without dropping
+  // work.
   const util::JsonValue fewer_workers = call_json(
       connection, R"({"type":"adminz","action":"set-workers","value":1})");
   ASSERT_EQ(code_of(fewer_workers), kCodeOk);

@@ -587,14 +587,14 @@ std::string build_request(const CliOptions& opts) {
 
 /// Maps one response payload to the tool's exit code.
 int response_exit_code(const util::JsonValue& doc) {
-  const int code = static_cast<int>(doc.number_or("code", 500.0));
+  const int code = response_code(doc, 500);
   if (code == kCodePartial) return kExitDeadlineExceeded;
   if (code >= 400) return kExitServerError;
   return kExitOk;
 }
 
 void print_response(const util::JsonValue& doc) {
-  const int code = static_cast<int>(doc.number_or("code", 0.0));
+  const int code = response_code(doc, 0);
   std::cout << "status: " << doc.string_or("status", "?") << " (code "
             << code << ")\n";
   const std::string error = doc.string_or("error", "");
@@ -737,8 +737,7 @@ void run_connection(const CliOptions& opts, const std::string& request,
     const double ms = clock.milliseconds();
     int code = 500;
     try {
-      code = static_cast<int>(
-          util::parse_json(payload).number_or("code", 500.0));
+      code = response_code(util::parse_json(payload), 500);
     } catch (const util::JsonParseError&) {
     }
     const std::lock_guard lock(stats.mutex);

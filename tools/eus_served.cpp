@@ -197,6 +197,11 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     std::cerr << "eus_served: --queue-depth and --workers must be >= 1\n";
     return std::nullopt;
   }
+  if (opts.workers > kMaxWorkers) {
+    std::cerr << "eus_served: --workers wants 1.." << kMaxWorkers
+              << ", got " << opts.workers << '\n';
+    return std::nullopt;
+  }
   if (opts.archive_tenants > 0 &&
       (opts.archive_entries == 0 || opts.archive_genomes == 0)) {
     std::cerr << "eus_served: --archive-entries and --archive-genomes must "
